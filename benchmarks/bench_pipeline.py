@@ -17,9 +17,11 @@ History of the tracked number (best-of-3, soccer Q1 workload):
 - seed of the API redesign: **≈ +40%** chain overhead vs the direct
   operator;
 - after the cluster PR's hot-path work (prebound stage dispatch lists
-  in ``QueryChain``; ``__slots__`` on the per-event context objects
-  ``QueuedItem``/``WindowRef``/``AssignResult``/``Window``/
-  ``ProcessResult``): **≈ +31%** measured on the same workload;
+  in ``QueryChain``; ``__slots__`` on the per-event context objects,
+  today ``StageContext``/``QueuedItem``/``Memberships``/
+  ``AssignResult``/``ProcessResult`` -- ``WindowRef`` and ``Window``
+  are no longer built per event): **≈ +31%** measured on the same
+  workload;
 - after the micro-batch execution path (this tree, ``batch(64)``):
   target **≤ +10%** -- in practice the batched chain tracks the
   direct operator within noise.

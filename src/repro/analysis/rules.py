@@ -62,6 +62,8 @@ HOT_PATH_MODULES: frozenset = frozenset(
         "src/repro/pipeline/stages.py",
         "src/repro/pipeline/batching.py",
         "src/repro/cep/events.py",
+        "src/repro/cep/windows.py",
+        "src/repro/cep/operator/queue.py",
         "src/repro/cluster/transport.py",
     }
 )

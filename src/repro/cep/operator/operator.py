@@ -1,10 +1,19 @@
 """The single CEP operator eSPICE attaches to.
 
 The operator consumes :class:`~repro.cep.operator.queue.QueuedItem`
-entries (event + window memberships), maintains per-window buffers of
-the events *kept* by the load shedder, and, when a window closes, runs
-the query's pattern matcher over the kept contents to emit complex
-events.
+entries (event + window memberships) and, when a window closes, runs
+the query's pattern matcher over the window's *kept* events to emit
+complex events.
+
+It stores only what the load shedder took away.  A closed
+:class:`~repro.cep.windows.Window` already carries its full content in
+arrival order (the assigner slices it out of its arrival log, see
+:mod:`repro.cep.windows`), so the operator keeps no per-window copy of
+the events: per item it counts kept/dropped memberships from the drop
+mask and records the *dropped positions* per window id; at completion
+a window nothing was dropped from is matched as is, any other is
+filtered by its recorded positions first.  An unshedded event costs the
+operator O(1), however many windows it belongs to.
 
 Processing is synchronous -- the discrete-event simulation runtime
 (:mod:`repro.runtime.simulation`) wraps it with virtual-time cost
@@ -15,25 +24,17 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cep.events import ComplexEvent, Event
 from repro.cep.operator.queue import QueuedItem
 from repro.cep.patterns.matcher import Match
 from repro.cep.patterns.query import Query
-from repro.cep.windows import Window, WindowRef
+from repro.cep.windows import Window
 
 # Listener signatures: (window with full unshedded content, matches found).
 WindowListener = Callable[[Window, List[Match]], None]
-
-
-@dataclass(slots=True)
-class _WindowBuffer:
-    """Kept (position, event) pairs of one in-flight window."""
-
-    kept: List[Tuple[int, Event]] = field(default_factory=list)
-    arrivals: int = 0
-    dropped: int = 0
 
 
 @dataclass
@@ -62,7 +63,7 @@ class ProcessResult:
 
 
 class CEPOperator:
-    """Window-buffering, pattern-matching CEP operator.
+    """Pattern-matching CEP operator over (shedded) windows.
 
     Parameters
     ----------
@@ -79,7 +80,9 @@ class CEPOperator:
         self.shedder = shedder
         self.stats = OperatorStats()
         self._matcher = query.new_matcher()
-        self._buffers: Dict[int, _WindowBuffer] = {}
+        # window id -> positions the matcher must not see (in arrival
+        # order); windows nothing was dropped from have no entry
+        self._excluded: Dict[int, List[int]] = {}
         self._window_listeners: List[WindowListener] = []
         self._size_sum = 0
         self._size_count = 0
@@ -148,7 +151,8 @@ class CEPOperator:
         event = item.event
         predicted = self.predicted_window_size()
         return [
-            shedder.should_drop(event, ref.position, predicted) for ref in item.refs
+            shedder.should_drop(event, position, predicted)
+            for position in item.refs.positions()
         ]
 
     def decide_batch(
@@ -173,10 +177,9 @@ class CEPOperator:
         events: List[Event] = []
         positions: List[int] = []
         for item in items:
-            event = item.event
-            for ref in item.refs:
-                events.append(event)
-                positions.append(ref.position)
+            refs = item.refs
+            events += [item.event] * len(refs)
+            positions += refs.positions()
         mask = shedder.should_drop_batch(events, positions, predicted)
         out: List[Optional[List[bool]]] = []
         start = 0
@@ -203,32 +206,48 @@ class CEPOperator:
         """Apply pre-made drop decisions, then complete closed windows.
 
         ``drops`` aligns with ``item.refs``; ``None`` keeps everything.
+        Only dropped memberships are recorded (their positions, per
+        window id); kept ones are implied by the window's content.
         Memberships are applied before window completion: a count-based
         window closes *with* its final event, so that event's shedding
-        decision and buffer append must land before the window is
-        matched.  (Time-based windows close before a later event and
-        carry no membership for it, so the order is safe for both.)
+        decision must land before the window is matched.  (Time-based
+        windows close before a later event and carry no membership for
+        it, so the order is safe for both.)
         """
-        result = ProcessResult()
-        event = item.event
-        for index, ref in enumerate(item.refs):
-            buffer = self._buffers.setdefault(ref.window_id, _WindowBuffer())
-            buffer.arrivals += 1
-            drop = drops[index] if drops is not None else False
-            if drop:
-                buffer.dropped += 1
-                result.memberships_dropped += 1
-            else:
-                buffer.kept.append((ref.position, event))
-                result.memberships_kept += 1
+        refs = item.refs
+        kept = len(refs)
+        dropped = 0
+        if drops is not None and True in drops:
+            excluded = self._excluded
+            index = refs.index
+            for window_id, start in compress(zip(refs.ids, refs.starts), drops):
+                excluded.setdefault(window_id, []).append(index - start)
+                dropped += 1
+            kept -= dropped
 
+        complex_events: List[ComplexEvent] = []
         for window in item.closed_windows:
-            result.complex_events.extend(self._complete_window(window, now))
+            complex_events.extend(self._complete_window(window, now))
 
-        self.stats.events_processed += 1
-        self.stats.memberships_kept += result.memberships_kept
-        self.stats.memberships_dropped += result.memberships_dropped
-        return result
+        stats = self.stats
+        stats.events_processed += 1
+        stats.memberships_kept += kept
+        stats.memberships_dropped += dropped
+        return ProcessResult(complex_events, kept, dropped)
+
+    def discard(self, item: QueuedItem) -> None:
+        """Exclude an item that was assigned windows but never enqueued.
+
+        The assigner logged its event before the enqueue failed, so the
+        windows it joined will contain it; the operator never decided
+        on it, so the matcher must not see it.
+        """
+        refs = item.refs
+        excluded = self._excluded
+        for window_id, position in zip(refs.ids, refs.positions()):
+            excluded.setdefault(window_id, []).append(position)
+        for window in item.closed_windows:  # lost with the item
+            excluded.pop(window.window_id, None)
 
     def flush(self, windows: Iterable[Window], now: float = 0.0) -> List[ComplexEvent]:
         """Complete the given still-open windows at end of stream."""
@@ -238,14 +257,20 @@ class CEPOperator:
         return complex_events
 
     def _complete_window(self, window: Window, now: float) -> List[ComplexEvent]:
-        buffer = self._buffers.pop(window.window_id, _WindowBuffer())
+        excluded = self._excluded.pop(window.window_id, None)
         if not window.truncated:
             # truncated windows would skew the window-size predictor
             self._size_sum += window.size
             self._size_count += 1
-        positions = [pos for pos, _e in buffer.kept]
-        events = [e for _pos, e in buffer.kept]
-        matches = self._matcher.match_window(events, positions)
+        events = window.events
+        if excluded is None:
+            matches = self._matcher.match_window(events)
+        else:
+            gone = set(excluded)
+            positions = [p for p in range(len(events)) if p not in gone]
+            matches = self._matcher.match_window(
+                [events[p] for p in positions], positions
+            )
         complex_events = [
             ComplexEvent(
                 pattern_name=self.query.name,

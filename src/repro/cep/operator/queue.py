@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
 from repro.cep.events import Event
-from repro.cep.windows import Window, WindowRef
+from repro.cep.windows import NO_MEMBERSHIPS, Memberships, Window
 
 
 @dataclass(slots=True)
@@ -28,17 +28,27 @@ class QueuedItem:
 
     Slotted: one instance exists per event on the hot path, and slots
     cut both the allocation cost and the attribute-access cost of the
-    stage chain that threads it through.
+    stage chain that threads it through.  ``refs`` is the assigner's
+    :class:`~repro.cep.windows.Memberships` view, so an item's size does
+    not grow with the number of windows its event belongs to.
     """
 
     event: Event
-    refs: List[WindowRef] = field(default_factory=list)
+    refs: Memberships = NO_MEMBERSHIPS
     closed_windows: List[Window] = field(default_factory=list)
     enqueue_time: float = 0.0
 
 
 class InputQueue:
     """FIFO input queue with size/latency accounting."""
+
+    __slots__ = (
+        "_items",
+        "capacity",
+        "total_enqueued",
+        "total_dequeued",
+        "total_rejected",
+    )
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         self._items: Deque[QueuedItem] = deque()

@@ -14,31 +14,113 @@ individual windows, so an event's *position within each window* (the
 ``P`` of ``UT(T, P)``) is its arrival index in that window regardless of
 whether other events were shed.
 
+The span model
+--------------
+Every event that arrives while a window is open joins it, so a window
+*is* a contiguous slice of the arrival stream.  An assigner therefore
+keeps **one** arrival log and, per open window, only
+``(start, open_time, expiry)`` -- ``start`` being the arrival ordinal
+of the window's first event.  Per event the work is O(1), however many
+windows overlap:
+
+- the event is appended to the log once (not once per window);
+- its memberships are one :class:`Memberships` object -- "the currently
+  open ids, position = arrival ordinal - start" -- sharing its id/start
+  tuples with the previous event's (they are rebuilt only when a window
+  opens or closes) and yielding :class:`WindowRef` objects lazily;
+- expiry is one comparison against the cached minimum expiry of the
+  open set; only when an event reaches it are the open windows scanned
+  (all of them, in id order: timestamps need not be monotonic, so a
+  younger window can expire before an older one).
+
+A :class:`Window` with its ``events`` list is materialised once, by one
+slice of the log, when it closes or is flushed.  The log is trimmed as
+its oldest open window closes, so it holds O(longest open span) events,
+not O(stream).
+
 Assigners are streaming objects: feed events one at a time with
-:meth:`WindowAssigner.on_event` and they report, per event, the set of
-``(window_id, position)`` assignments plus any windows that closed
-strictly before the event.  :func:`iter_windows` is a batch convenience
-used by ground-truth computation and model training.
+:meth:`WindowAssigner.on_event` and they report, per event, its
+memberships plus any windows that closed strictly before the event (a
+count-based window closes *with* its last event).  :func:`iter_windows`
+is a batch convenience used by ground-truth computation and model
+training.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cep.events import Event, EventStream
+
+_NEVER = math.inf
 
 
 @dataclass(slots=True)
 class WindowRef:
-    """An event's membership in one window.
-
-    Slotted: windows overlap, so several refs exist per event on the
-    hot path.
-    """
+    """An event's membership in one window."""
 
     window_id: int
     position: int  # 0-based arrival index of the event within the window
+
+
+class Memberships:
+    """One event's window memberships: a view on the open-window set.
+
+    ``ids`` and ``starts`` are the open windows (id order) and the
+    arrival ordinal each started at; ``index`` is this event's arrival
+    ordinal, so its position in window ``ids[i]`` is
+    ``index - starts[i]``.  Consecutive events share the two tuples
+    until a window opens or closes, which is what makes an event's
+    bookkeeping independent of how many windows it belongs to.
+
+    Behaves as an immutable sequence of :class:`WindowRef` (``len``,
+    iteration, indexing, ``==`` against any sequence of refs); refs are
+    built on demand.  Slotted: one instance per event on the hot path.
+    """
+
+    __slots__ = ("ids", "starts", "index")
+
+    def __init__(
+        self, ids: Tuple[int, ...] = (), starts: Tuple[int, ...] = (), index: int = 0
+    ) -> None:
+        self.ids = ids
+        self.starts = starts
+        self.index = index
+
+    def positions(self) -> List[int]:
+        """The event's position in each window, aligned with ``ids``."""
+        index = self.index
+        return [index - start for start in self.starts]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[WindowRef]:
+        index = self.index
+        for window_id, start in zip(self.ids, self.starts):
+            yield WindowRef(window_id, index - start)
+
+    def __getitem__(self, i: int) -> WindowRef:
+        return WindowRef(self.ids[i], self.index - self.starts[i])
+
+    def __eq__(self, other: object) -> bool:
+        try:
+            return list(self) == list(other)  # type: ignore[call-overload]
+        except TypeError:
+            return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ids, tuple(self.positions())))
+
+    def __repr__(self) -> str:
+        return f"Memberships({list(self)!r})"
+
+
+#: The memberships of an event that belongs to no window (immutable,
+#: so one instance serves as everybody's default).
+NO_MEMBERSHIPS = Memberships()
 
 
 @dataclass(slots=True)
@@ -48,7 +130,7 @@ class AssignResult:
     Slotted: one instance per event (per chain) on the hot path.
     """
 
-    assignments: List[WindowRef] = field(default_factory=list)
+    assignments: Memberships = NO_MEMBERSHIPS
     closed: List["Window"] = field(default_factory=list)
 
 
@@ -82,28 +164,117 @@ class Window:
         return f"Window(id={self.window_id}, size={self.size})"
 
 
+# repro-lint: disable=R006 one assigner per query chain, not per event
 class WindowAssigner:
-    """Base class for streaming window assigners."""
+    """Base class for streaming window assigners (see the span model).
+
+    State shared by the three assigners: the arrival log (``_log[i]``
+    is the event with arrival ordinal ``_base + i``), the open windows
+    as ``id -> (start, open_time, expiry)`` in id order (ids only grow
+    and dicts keep insertion order), the cached minimum expiry of the
+    open set, and the ``(ids, starts)`` tuples the next event's
+    :class:`Memberships` will share (``_ids`` is ``None`` after the
+    open set changed).  What ``expiry`` is compared against -- a timestamp or an
+    arrival ordinal -- is the subclass's business.
+    """
 
     def __init__(self) -> None:
         self._next_id = 0
-        self._open: Dict[int, Window] = {}
+        self._log: List[Event] = []
+        self._base = 0
+        self._open: Dict[int, Tuple[int, float, float]] = {}
+        self._min_expiry = _NEVER
+        self._ids: Optional[Tuple[int, ...]] = ()
+        self._starts: Tuple[int, ...] = ()
 
-    def _new_window(self, open_time: float) -> Window:
-        window = Window(self._next_id, open_time=open_time)
+    def _open_window(self, start: int, open_time: float, expiry: float) -> None:
+        self._open[self._next_id] = (start, open_time, expiry)
         self._next_id += 1
-        self._open[window.window_id] = window
-        return window
+        if expiry < self._min_expiry:
+            self._min_expiry = expiry
+        self._ids = None
 
-    def _close(self, window: Window, close_time: float) -> Window:
-        window.close_time = close_time
-        del self._open[window.window_id]
-        return window
+    def _close(
+        self, window_id: int, end: int, close_time: float, truncated: bool = False
+    ) -> Window:
+        """Materialise window ``window_id`` as arrivals ``[start, end)``."""
+        start, open_time, _expiry = self._open.pop(window_id)
+        self._ids = None
+        base = self._base
+        return Window(
+            window_id,
+            self._log[start - base : end - base],
+            open_time,
+            close_time,
+            truncated,
+        )
+
+    def _close_expired(self, now: float, end: int, close_time: float) -> List[Window]:
+        """Close every open window with ``expiry <= now``, in id order.
+
+        A full scan, because expiry order need not follow id order; it
+        runs only when ``now`` reaches the cached minimum expiry (which
+        may be stale-low after a forced close: the scan then closes
+        nothing and refreshes it).
+        """
+        closed: List[Window] = []
+        min_expiry = _NEVER
+        for window_id, (_start, _open_time, expiry) in list(self._open.items()):
+            if now >= expiry:
+                closed.append(self._close(window_id, end, close_time))
+            elif expiry < min_expiry:
+                min_expiry = expiry
+        self._min_expiry = min_expiry
+        if closed:
+            self._trim()
+        return closed
+
+    def _trim(self) -> None:
+        """Drop log entries no open window can still reach.
+
+        Called after closes.  With nothing open the whole log is dead;
+        otherwise the dead prefix ends at the oldest window's start
+        (starts never decrease in id order) and is cut once it is at
+        least half the log, which keeps the cost amortised O(1) per
+        event and the log within twice the longest open span.
+        """
+        log = self._log
+        if not self._open:
+            self._base += len(log)
+            log.clear()
+            return
+        dead = min(next(iter(self._open.values()))[0] - self._base, len(log))
+        if dead > 0 and 2 * dead >= len(log):
+            del log[:dead]
+            self._base += dead
+
+    def _join(self, event: Event, index: int) -> Memberships:
+        """Log arrival ``index`` and return its memberships in the open set.
+
+        An event no window is open for is not logged (the log is empty
+        then, see :meth:`_trim`); its ordinal is skipped instead.
+        """
+        if not self._open:
+            self._base += 1
+            return NO_MEMBERSHIPS
+        self._log.append(event)
+        if self._ids is None:
+            self._ids = tuple(self._open)
+            self._starts = tuple([window[0] for window in self._open.values()])
+        return Memberships(self._ids, self._starts, index)
 
     @property
     def open_windows(self) -> List[Window]:
-        """Currently open windows, oldest first."""
-        return [self._open[wid] for wid in sorted(self._open)]
+        """Currently open windows, oldest first (materialised copies).
+
+        A debugging/inspection aid -- nothing on the event path reads it.
+        """
+        log = self._log
+        base = self._base
+        return [
+            Window(window_id, log[start - base :], open_time)
+            for window_id, (start, open_time, _expiry) in self._open.items()
+        ]
 
     def on_event(self, event: Event) -> AssignResult:
         """Assign ``event``; report memberships and windows closed before it."""
@@ -112,10 +283,9 @@ class WindowAssigner:
     def on_events(self, events: Iterable[Event]) -> List[AssignResult]:
         """Assign a micro-batch of events in arrival order.
 
-        Window membership is a pure streaming function, so the base
-        implementation is a loop with the dispatch hoisted; assigners
-        with cheaper bulk bookkeeping may override.  Results align with
-        ``events`` one-to-one -- batched callers
+        Window membership is a pure streaming function, so this is a
+        loop with the dispatch hoisted.  Results align with ``events``
+        one-to-one -- batched callers
         (:meth:`repro.pipeline.stages.WindowAssignStage.process_batch`)
         rely on that.
         """
@@ -125,13 +295,17 @@ class WindowAssigner:
     def flush(self) -> List[Window]:
         """Close and return every still-open window (end of stream).
 
-        Flushed windows are marked ``truncated``.
+        Flushed windows are marked ``truncated``; the arrival log is
+        emptied.
         """
-        remaining = self.open_windows
-        for window in remaining:
-            last = window.events[-1].timestamp if window.events else window.open_time
-            window.truncated = True
-            self._close(window, last)
+        log = self._log
+        end = self._base + len(log)
+        remaining = []
+        for window_id, (start, open_time, _expiry) in list(self._open.items()):
+            last = log[-1].timestamp if start < end else open_time
+            remaining.append(self._close(window_id, end, last, truncated=True))
+        self._min_expiry = _NEVER
+        self._trim()
         return remaining
 
     def expected_window_size(self, stream_rate: float) -> float:
@@ -144,11 +318,14 @@ class WindowAssigner:
         raise NotImplementedError
 
 
+# repro-lint: disable=R006 one assigner per query chain, not per event
 class CountSlidingWindows(WindowAssigner):
     """Count-based sliding windows: open every ``slide`` events, span ``size``.
 
     With ``slide == size`` the windows are tumbling.  Q4 in the paper
-    uses ``slide = 100`` events with various window sizes.
+    uses ``slide = 100`` events with various window sizes.  A window's
+    ``expiry`` is the arrival ordinal of its last event: it closes
+    *with* that event, after the event joined it.
     """
 
     def __init__(self, size: int, slide: Optional[int] = None) -> None:
@@ -162,27 +339,28 @@ class CountSlidingWindows(WindowAssigner):
         self._arrivals = 0
 
     def on_event(self, event: Event) -> AssignResult:
-        result = AssignResult()
+        index = self._base + len(self._log)
         if self._arrivals % self.slide == 0:
-            self._new_window(event.timestamp)
+            self._open_window(index, event.timestamp, index + self.size - 1)
         self._arrivals += 1
-        for window in self.open_windows:
-            window.events.append(event)
-            result.assignments.append(WindowRef(window.window_id, window.size - 1))
-            if window.size == self.size:
-                result.closed.append(self._close(window, event.timestamp))
+        # slide > size leaves gaps in which no window is open
+        result = AssignResult(self._join(event, index))
+        if index >= self._min_expiry:
+            result.closed = self._close_expired(index, index + 1, event.timestamp)
         return result
 
     def expected_window_size(self, stream_rate: float) -> float:
         return float(self.size)
 
 
+# repro-lint: disable=R006 one assigner per query chain, not per event
 class TimeSlidingWindows(WindowAssigner):
     """Time-based sliding windows: open every ``slide`` s, span ``duration`` s.
 
     A window covers timestamps in ``[open, open + duration)``.  Windows
     close lazily when an event at or past their end arrives (or on
-    :meth:`flush`).
+    :meth:`flush`); after a gap longer than ``duration`` the backlog
+    windows open already expired and close empty.
     """
 
     def __init__(self, duration: float, slide: Optional[float] = None) -> None:
@@ -196,29 +374,29 @@ class TimeSlidingWindows(WindowAssigner):
         self._origin: Optional[float] = None
         self._opened_upto: int = 0  # number of slide multiples already opened
 
-    def _open_due_windows(self, now: float) -> None:
+    def _open_due_windows(self, now: float, index: int) -> None:
         if self._origin is None:
             self._origin = now
         while self._origin + self._opened_upto * self.slide <= now:
             open_time = self._origin + self._opened_upto * self.slide
-            self._new_window(open_time)
+            self._open_window(index, open_time, open_time + self.duration)
             self._opened_upto += 1
 
     def on_event(self, event: Event) -> AssignResult:
+        now = event.timestamp
+        index = self._base + len(self._log)
+        self._open_due_windows(now, index)
         result = AssignResult()
-        self._open_due_windows(event.timestamp)
-        for window in self.open_windows:
-            if event.timestamp >= window.open_time + self.duration:
-                result.closed.append(self._close(window, event.timestamp))
-            else:
-                window.events.append(event)
-                result.assignments.append(WindowRef(window.window_id, window.size - 1))
+        if now >= self._min_expiry:
+            result.closed = self._close_expired(now, index, now)
+        result.assignments = self._join(event, index)
         return result
 
     def expected_window_size(self, stream_rate: float) -> float:
         return self.duration * stream_rate
 
 
+# repro-lint: disable=R006 one assigner per query chain, not per event
 class PredicateWindows(WindowAssigner):
     """Pattern-based windows: open on a predicate, span a count or time extent.
 
@@ -262,29 +440,36 @@ class PredicateWindows(WindowAssigner):
         self.include_opener = include_opener
         self.max_open = max_open
 
-    def _window_expired(self, window: Window, event: Event) -> bool:
+    def _open_from(self, start: int, timestamp: float) -> None:
+        # a window expires at a timestamp (time extent) or once it holds
+        # ``extent_events`` arrivals, i.e. at an arrival ordinal
         if self.extent_seconds is not None:
-            return event.timestamp >= window.open_time + self.extent_seconds
-        assert self.extent_events is not None
-        return window.size >= self.extent_events
+            self._open_window(start, timestamp, timestamp + self.extent_seconds)
+        elif self.extent_events is not None:
+            self._open_window(start, timestamp, start + self.extent_events)
 
     def on_event(self, event: Event) -> AssignResult:
+        timestamp = event.timestamp
+        index = self._base + len(self._log)
+        now = timestamp if self.extent_seconds is not None else index
         result = AssignResult()
-        for window in self.open_windows:
-            if self._window_expired(window, event):
-                result.closed.append(self._close(window, event.timestamp))
-        opened: Optional[Window] = None
+        if now >= self._min_expiry:
+            result.closed = self._close_expired(now, index, timestamp)
         if self.open_predicate(event):
             if len(self._open) >= self.max_open:
-                oldest = self.open_windows[0]
-                oldest.truncated = True
-                result.closed.append(self._close(oldest, event.timestamp))
-            opened = self._new_window(event.timestamp)
-        for window in self.open_windows:
-            if window is opened and not self.include_opener:
-                continue
-            window.events.append(event)
-            result.assignments.append(WindowRef(window.window_id, window.size - 1))
+                oldest = next(iter(self._open))
+                result.closed.append(
+                    self._close(oldest, index, timestamp, truncated=True)
+                )
+                self._trim()
+            if not self.include_opener:
+                # the new window starts at the next arrival: this
+                # event's memberships are taken before it opens
+                result.assignments = self._join(event, index)
+                self._open_from(index + 1, timestamp)
+                return result
+            self._open_from(index, timestamp)
+        result.assignments = self._join(event, index)
         return result
 
     def expected_window_size(self, stream_rate: float) -> float:

@@ -80,9 +80,12 @@ class UtilityModel:
 class _WindowRecord:
     """Compact training record of one completed window."""
 
-    size: int
-    event_positions: List[Tuple[str, int]]  # (type, window position), all events
+    event_types: List[str]  # type of every event; the index is its position
     match_positions: List[Tuple[str, int]]  # (type, window position), contributors
+
+    @property
+    def size(self) -> int:
+        return len(self.event_types)
 
 
 class ModelBuilder:
@@ -129,14 +132,12 @@ class ModelBuilder:
         """
         if window.size == 0 or window.truncated:
             return
-        event_positions = [
-            (event.event_type, pos) for pos, event in enumerate(window.events)
-        ]
+        event_types = [event.event_type for event in window.events]
         match_positions: List[Tuple[str, int]] = []
         for match in matches:
             for pos, event in match:
                 match_positions.append((event.event_type, pos))
-        record = _WindowRecord(window.size, event_positions, match_positions)
+        record = _WindowRecord(event_types, match_positions)
         if len(self._records) >= self.max_records:
             # ring behaviour: oldest training data ages out
             self._records.pop(0)
@@ -182,25 +183,31 @@ class ModelBuilder:
 
         type_ids: Dict[str, int] = {}
         for record in self._records:
-            for type_name, _pos in record.event_positions:
+            for type_name in record.event_types:
                 if type_name not in type_ids:
                     type_ids[type_name] = len(type_ids)
 
         shares = PositionShares(type_ids, reference_size, self.bin_size)
         contribution: Dict[str, Dict[int, float]] = {}
+        # the window-position -> reference-position map depends only on
+        # the window's size: computed once per distinct size, not once
+        # per event of every window
+        top = reference_size - 1
+        reference_of: Dict[int, List[int]] = {}
         for record in self._records:
-            mapped = [
-                (
-                    type_name,
-                    scaling.reference_position(pos, record.size, reference_size),
-                )
-                for type_name, pos in record.event_positions
-            ]
-            shares.observe_window(mapped)
+            size = record.size
+            ref_pos_of = reference_of.get(size)
+            if ref_pos_of is None:
+                ref_pos_of = reference_of[size] = [
+                    min(ref_pos, top)
+                    for ref_pos in scaling.reference_positions_batch(
+                        range(size), size, reference_size
+                    )
+                ]
+            shares.observe_window(list(zip(record.event_types, ref_pos_of)))
             for type_name, pos in record.match_positions:
-                ref_pos = scaling.reference_position(pos, record.size, reference_size)
                 bin_index = scaling.bin_of_reference_position(
-                    ref_pos, reference_size, self.bin_size
+                    ref_pos_of[pos], reference_size, self.bin_size
                 )
                 per_bin = contribution.setdefault(type_name, {})
                 per_bin[bin_index] = per_bin.get(bin_index, 0.0) + 1.0

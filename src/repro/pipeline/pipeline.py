@@ -187,6 +187,7 @@ class QueryChain:
             self.operator = CEPOperator(query, shedder=None)
             match_stage = MatchStage(self.operator)
         self.match_stage = match_stage
+        self.window_assign.operator = self.operator
         self.shedding = SheddingStage(per_event=degree == 1)
         self.shedding.operator = self.operator
         self.shedding.queue = self.queue
@@ -677,34 +678,7 @@ class Pipeline:
         buffering calls).  :meth:`flush_pending` forces the buffer
         through.
         """
-        at = now if now is not None else event.timestamp
-        if at > self._last_fed:
-            self._last_fed = at
-        if self._feed_batcher is not None:
-            return self._feed_batched(event, at)
-        self._advance_ticks(at)
-        out: Dict[str, List[ComplexEvent]] = {}
-        for chain in self.chains:
-            admitted = chain.ingest(event, at)
-            out[chain.query.name] = chain.drain(at) if admitted else []
-        self._events_fed += 1
-        return out
-
-    def _feed_batched(self, event: Event, at: float) -> Dict[str, List[ComplexEvent]]:
-        batcher = self._feed_batcher
-        out = {chain.query.name: [] for chain in self.chains}
-        if (
-            self._next_tick is not None
-            and self._next_tick <= at
-            and batcher
-            and self._ticks_observable()
-        ):
-            # a due tick is a batch boundary: buffered events must be
-            # processed before detector duty runs, like per-event mode
-            self._collect_batch(batcher.take(), out)
-        self._advance_ticks(at)
-        self._collect_batch(batcher.add(event, at), out)
-        return out
+        return self.feed_many((event,), now=now)
 
     def feed_many(
         self, events: Iterable[Event], now: Optional[float] = None
@@ -712,18 +686,46 @@ class Pipeline:
         """Push a slice of live events through every chain, in order.
 
         The bulk ingest hook of network front doors
-        (:mod:`repro.serve`) and other push-based producers: each event
-        takes the exact :meth:`feed` path (micro-batching included),
-        and the per-query detections of the whole slice are merged into
-        one result mapping.
+        (:mod:`repro.serve`) and other push-based producers, and the
+        loop :meth:`feed` is the one-event case of: the per-query
+        detections of the whole slice land in one result mapping, built
+        once per call.
         """
+        chains = self.chains
         out: Dict[str, List[ComplexEvent]] = {
-            chain.query.name: [] for chain in self.chains
+            chain.query.name: [] for chain in chains
         }
+        batcher = self._feed_batcher
+        # whether any stage acts on ticks is asked at most once per call
+        ticks_observable: Optional[bool] = None
         for event in events:
-            for name, detected in self.feed(event, now=now).items():
-                if detected:
-                    out[name].extend(detected)
+            at = now if now is not None else event.timestamp
+            if at > self._last_fed:
+                self._last_fed = at
+            tick_due = self._next_tick is None or self._next_tick <= at
+            if batcher is None:
+                if tick_due:
+                    self._advance_ticks(at)
+                for chain in chains:
+                    if chain.ingest(event, at):
+                        detected = chain.drain(at)
+                        if detected:
+                            out[chain.query.name].extend(detected)
+                self._events_fed += 1
+                continue
+            if tick_due:
+                if batcher and self._next_tick is not None:
+                    if ticks_observable is None:
+                        ticks_observable = self._ticks_observable()
+                    if ticks_observable:
+                        # a due tick is a batch boundary: buffered events
+                        # must be processed before detector duty runs,
+                        # like per-event mode
+                        self._collect_batch(batcher.take(), out)
+                self._advance_ticks(at)
+            batch = batcher.add(event, at)
+            if batch is not None:
+                self._collect_batch(batch, out)
         return out
 
     def finish(self) -> Dict[str, List[ComplexEvent]]:

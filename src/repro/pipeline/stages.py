@@ -185,6 +185,7 @@ class WindowAssignStage(Stage):
     __slots__ = (
         "assigner",
         "queue",
+        "operator",
         "assigned_memberships",
         "windows_closed",
         "rejected",
@@ -194,23 +195,31 @@ class WindowAssignStage(Stage):
     def __init__(self, assigner: WindowAssigner, queue: InputQueue) -> None:
         self.assigner = assigner
         self.queue = queue
+        # wired by the chain: an item whose enqueue fails is already in
+        # the assigner's arrival log, so the operator that will complete
+        # its windows must be told to leave it out
+        self.operator: Optional[CEPOperator] = None
         self.assigned_memberships = 0
         self.windows_closed = 0
         self.rejected = 0
         self.max_queue_depth = 0
 
+    def _enqueue(self, item: QueuedItem) -> bool:
+        if self.queue.push(item):
+            return True
+        self.rejected += 1
+        if self.operator is not None:
+            self.operator.discard(item)
+        return False
+
     def on_event(self, ctx: StageContext) -> bool:
         assignment = self.assigner.on_event(ctx.event)
         ctx.item = QueuedItem(
-            event=ctx.event,
-            refs=assignment.assignments,
-            closed_windows=assignment.closed,
-            enqueue_time=ctx.now,
+            ctx.event, assignment.assignments, assignment.closed, ctx.now
         )
-        self.assigned_memberships += len(assignment.assignments)
+        self.assigned_memberships += len(assignment.assignments.ids)
         self.windows_closed += len(assignment.closed)
-        if not self.queue.push(ctx.item):
-            self.rejected += 1
+        if not self._enqueue(ctx.item):
             return False
         self.max_queue_depth = max(self.max_queue_depth, self.queue.size)
         return True
@@ -218,21 +227,15 @@ class WindowAssignStage(Stage):
     def process_batch(self, batch: "StageBatch") -> None:
         live = [ctx for ctx in batch.contexts if not ctx.stopped]
         assignments = self.assigner.on_events([ctx.event for ctx in live])
-        push = self.queue.push
+        enqueue = self._enqueue
         memberships = 0
         closed = 0
         for ctx, assignment in zip(live, assignments):
-            item = QueuedItem(
-                event=ctx.event,
-                refs=assignment.assignments,
-                closed_windows=assignment.closed,
-                enqueue_time=ctx.now,
-            )
-            ctx.item = item
-            memberships += len(assignment.assignments)
+            refs = assignment.assignments
+            ctx.item = item = QueuedItem(ctx.event, refs, assignment.closed, ctx.now)
+            memberships += len(refs.ids)
             closed += len(assignment.closed)
-            if not push(item):
-                self.rejected += 1
+            if not enqueue(item):
                 ctx.stopped = True
         self.assigned_memberships += memberships
         self.windows_closed += closed
@@ -327,12 +330,12 @@ class SheddingStage(Stage):
 
 
 class MatchStage(Stage):
-    """The CEP operator: window buffers and pattern matching.
+    """The CEP operator: drop records and pattern matching.
 
-    Applies the shedding stage's decisions to the operator's window
-    buffers and, when the item closed windows, runs the query's matcher
-    over their kept contents to produce complex events
-    (:class:`ProcessResult` on the context).
+    Hands the shedding stage's decisions to the operator (which records
+    the dropped positions per window) and, when the item closed
+    windows, runs the query's matcher over their kept contents to
+    produce complex events (:class:`ProcessResult` on the context).
     """
 
     name = "match"

@@ -139,6 +139,10 @@ class ChaosController:
         """SIGSTOP one worker: alive but silent (a wedged process)."""
         os.kill(self.sharded._workers[shard_id].pid, signal.SIGSTOP)
 
+    def resume_worker(self, shard_id):
+        """SIGCONT a worker stopped by :meth:`stop_worker`."""
+        os.kill(self.sharded._workers[shard_id].pid, signal.SIGCONT)
+
     def add_shard(self):
         """Grow the membership by one worker mid-run."""
         self.sharded.scale_up()

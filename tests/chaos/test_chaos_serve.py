@@ -33,6 +33,7 @@ from repro.serve.resilience import CircuitBreaker, ExponentialBackoff
 from repro.serve.server import PipelineServer, ServeConfig
 
 from chaos.conftest import keys, make_deployed_pipeline
+from chaos.controller import ChaosController
 from chaos.network import NetworkChaos
 
 BATCH_EVENTS = 32
@@ -189,7 +190,16 @@ class TestServedClusterBitIdentity:
         self, workload, reference
     ):
         """The ROADMAP rung: autoscaler-driven scale_up() while serve
-        traffic flows, detections oblivious to the membership change."""
+        traffic flows, detections oblivious to the membership change.
+
+        The backlog the autoscaler reacts to is made, not hoped for:
+        shard 0 is SIGSTOPped at a fixed batch, so every window routed
+        to it stays outstanding, and the overload check is made due
+        before each following batch (its 0.1 s wall-clock pacing would
+        otherwise decide which batch sees the backlog).  The worker
+        resumes as soon as the scale-up is observed -- or at the last
+        batch, so a missing scale-up fails the assertions instead of
+        hanging the final sync."""
         autoscaler = Autoscaler(
             min_shards=2,
             max_shards=3,
@@ -197,10 +207,24 @@ class TestServedClusterBitIdentity:
             low_utilization=0.01,
             cooldown_seconds=60.0,  # one growth step per run
         )
+        last_batch = (len(workload[2]) - 1) // BATCH_EVENTS
+        stalled = []  # the controller of the stopped worker, while stopped
+
+        def stall_shard_until_scaled(index, sharded, _server):
+            if index == 10:
+                stalled.append(ChaosController(sharded))
+                stalled[0].stop_worker(0)
+            elif stalled and (autoscaler.decisions or index == last_batch):
+                stalled.pop().resume_worker(0)
+            elif stalled:
+                sharded._last_check = 0.0  # next batch runs the check
+
         detected, snapshot, _reports = serve_with_chaos(
             workload,
+            before_batch=stall_shard_until_scaled,
             cluster_options={"autoscaler": autoscaler},
         )
+        assert not stalled
         assert detected == reference
         assert len(snapshot.shards) == 3
         assert autoscaler.decisions == 1

@@ -150,3 +150,68 @@ class TestUtilityModel:
         parts = model.partition_cdts(plan)
         assert len(parts) == 2
         assert sum(p.total for p in parts) == pytest.approx(4.0)
+
+
+class TestReferencePositionMapIsPerWindowSize:
+    """``build`` maps window positions to reference positions once per
+    distinct window size (``scaling.reference_positions_batch``) instead
+    of once per event; the model must not notice."""
+
+    # fingerprints recorded with the per-position mapping, before the change
+    STREAMS = {
+        "stock": ("e26310058559", 300),
+        "soccer": ("bf2d6a266622", 306),
+    }
+
+    @staticmethod
+    def _train(name):
+        from repro.experiments import workloads
+        from repro.pipeline import Pipeline
+        from repro.queries import build_q1, build_q3
+
+        if name == "stock":
+            query = build_q3(300)
+            train, _ = workloads.stock_streams_q3(ticks=150, seed=9)
+        else:
+            query = build_q1(pattern_size=2, window_seconds=15.0)
+            train, _ = workloads.soccer_streams(duration_seconds=1500.0, seed=3)
+        pipeline = Pipeline.builder().query(query).shedder("espice", f=0.8).build()
+        return pipeline.train(train).model
+
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    def test_fingerprint_unchanged(self, name, monkeypatch):
+        from repro.core import scaling
+
+        fingerprint, reference_size = self.STREAMS[name]
+        model = self._train(name)
+        assert (model.fingerprint(), model.reference_size) == (
+            fingerprint,
+            reference_size,
+        )
+        # and equal to mapping every position on its own
+        monkeypatch.setattr(
+            scaling,
+            "reference_positions_batch",
+            lambda positions, size, n: [
+                scaling.reference_position(p, size, n) for p in positions
+            ],
+        )
+        assert self._train(name).fingerprint() == fingerprint
+
+    def test_map_is_computed_once_per_distinct_size(self, monkeypatch):
+        from repro.core import scaling
+
+        sizes = []
+        batch = scaling.reference_positions_batch
+        monkeypatch.setattr(
+            scaling,
+            "reference_positions_batch",
+            lambda positions, size, n: sizes.append(size) or batch(positions, size, n),
+        )
+        builder = ModelBuilder()
+        for window_id, size in enumerate([3, 5, 3, 5, 5, 4]):
+            w = make_window(["A", "B"] * 3, window_id=window_id)
+            w.events = w.events[:size]
+            builder.observe(w, [match_of(w, [0, 1])])
+        builder.build()
+        assert sorted(sizes) == [3, 4, 5]
