@@ -2,8 +2,8 @@
 
 The lint gate rides on every CI leg and on pre-commit muscle memory,
 so it must stay interactive: a **full-tree** run (src/repro +
-benchmarks, all 8 rules, corpus cross-check included) has a hard
-wall-clock budget of :data:`BUDGET_SECONDS`.  The benchmark times
+benchmarks, every rule) has a hard wall-clock budget of
+:data:`BUDGET_SECONDS`.  The benchmark times
 best-of-N full runs with fresh rule instances per run (R008 carries
 per-run state) and reports files/second.
 

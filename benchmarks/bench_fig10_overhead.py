@@ -5,7 +5,7 @@ processing and the relative overhead grows with the window size.
 Absolute percentages are higher here than the paper's <1--5%: the
 paper's Java matcher does far more work per event than this
 pure-Python greedy matcher, so the fixed interpreter cost per decision
-weighs more (see EXPERIMENTS.md).
+weighs more.
 """
 
 from repro.experiments.fig10 import fig10_overhead

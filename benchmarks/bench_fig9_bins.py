@@ -1,7 +1,7 @@
 """Figure 9a/9b: impact of the bin size on quality.
 
 Paper shape: mild degradation with growing bin size for Q1, clearer for
-Q2.  NOTE (EXPERIMENTS.md): at our scaled-down training volume small
+Q2.  NOTE: at our scaled-down training volume small
 bins are *noisier* than the paper's, so the left end of the curve can
 be non-monotone -- the assertable shape is that quality does not
 collapse across two orders of magnitude of bin size.

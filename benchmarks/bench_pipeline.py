@@ -6,11 +6,12 @@ calling the operator directly.  This benchmark quantifies what that
 indirection costs so the redesign's price stays visible in the perf
 trajectory: the same stream is replayed (1) through a bare
 ``CEPOperator.detect_all`` -- the old direct wiring, (2) through
-per-event ``Pipeline.run``, and (3) through micro-batched
-``Pipeline.run`` (``.batch(64)``), and the per-event wall-clock times
-are compared.  All paths produce identical detections in identical
-order, which the benchmark asserts -- per-event vs batched both
-sequentially and through a 2-shard cluster.
+``Pipeline.run`` at batch size 1 (every event a batch of its own, the
+"per-event" rows below), and (3) through ``Pipeline.run`` at
+``.batch(64)`` -- the same stage path at two batch sizes -- and the
+per-event wall-clock times are compared.  All runs produce identical
+detections in identical order, which the benchmark asserts -- batch 1
+vs batch 64 both sequentially and through a 2-shard cluster.
 
 History of the tracked number (best-of-3, soccer Q1 workload):
 
@@ -27,7 +28,7 @@ History of the tracked number (best-of-3, soccer Q1 workload):
   direct operator within noise.
 
 Run ``python benchmarks/bench_pipeline.py --smoke`` for a quick
-CI-friendly check that batched replay is not slower than per-event
+CI-friendly check that batch-64 replay is not slower than batch-1
 replay and stays bit-identical.
 """
 
@@ -134,11 +135,12 @@ def test_stage_chain_overhead(report):
 
 
 def test_shedded_batch_kernel(report):
-    """Active shedding: scalar loop vs vectorized kernel backends.
+    """Active shedding: one kernel pass per item vs per batch of 64.
 
-    Same deployment, same static drop command; per-event (scalar
-    decisions) vs batched with the numpy kernel and with the stdlib
-    fallback kernel.  Detections must be identical everywhere.
+    Same deployment, same static drop command; batch size 1 (one small
+    kernel pass per item, default backend -- the "scalar" row) vs batch
+    64 with the numpy kernel and with the stdlib fallback kernel.
+    Detections must be identical everywhere.
 
     The scenario is *static* coordinated shedding (the deterministic
     "under shedding" setup), so the overload detector has no decisions

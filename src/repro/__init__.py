@@ -9,9 +9,6 @@ substrate the paper's system depends on.
 pipelines (``Pipeline.builder().query(q).shedder("espice", f=0.8)
 .latency_bound(1.0).build()``) covering training, deployment, live
 ingestion, virtual-time overload simulation and hot model retraining.
-The manual wiring of earlier versions (``ESpice`` facade + loose
-shedder/detector construction) is deprecated and kept only as thin
-shims.
 
 Subsystems:
 

@@ -13,7 +13,7 @@ Two legs:
 - **repro-lint** (:mod:`repro.analysis.cli`, console script
   ``repro-lint``, runner ``python -m repro.analysis``): an AST rule
   engine (stdlib ``ast``/``tokenize``, no dependencies) enforcing the
-  named rules R001-R008 of :mod:`repro.analysis.rules` over
+  named rules of :mod:`repro.analysis.rules` (R001-R008) over
   ``src/repro`` and ``benchmarks``, with inline suppressions, a
   checked-in baseline for grandfathered findings, ``--explain`` docs
   and text/JSON output;

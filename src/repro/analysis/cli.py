@@ -42,8 +42,8 @@ def _parser() -> argparse.ArgumentParser:
         description=(
             "Invariant-aware static analysis for the repro codebase: "
             "the determinism contract (virtual clocks, seeded RNG, "
-            "kernel purity, bounded queues, batch/per-event parity, "
-            "metric naming) as named, suppressible rules."
+            "kernel purity, bounded queues, asyncio hygiene, hot-path "
+            "slots, metric naming) as named, suppressible rules."
         ),
     )
     parser.add_argument(

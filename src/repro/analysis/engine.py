@@ -11,13 +11,10 @@ Directives are ordinary comments::
 
     q = asyncio.Queue()   # repro-lint: disable=R004 capacity enforced upstream
     # repro-lint: disable-file=R006 scratch types, not per-event
-    # repro-lint: parity-tested
 
 ``disable=RXXX[,RYYY] reason`` suppresses those rules on its own line
 (or the line directly below, for standalone comments);
-``disable-file=RXXX`` suppresses a rule for the whole file;
-``parity-tested`` is the R007 marker (see
-:class:`repro.analysis.rules.BatchParityRule`).
+``disable-file=RXXX`` suppresses a rule for the whole file.
 
 Baselines grandfather pre-existing findings so a newly introduced rule
 gates *new* violations from day one without demanding a flag-day
@@ -63,9 +60,6 @@ _DIRECTIVE = re.compile(r"#\s*repro-lint:\s*(?P<body>.+)")
 _DISABLE = re.compile(
     r"disable(?P<scope>-file)?=(?P<codes>R\d{3}(?:\s*,\s*R\d{3})*)"
 )
-
-#: The R007 marker asserting a parity test covers a batch-only stage.
-PARITY_MARKER = "parity-tested"
 
 
 @dataclass(frozen=True)
@@ -146,7 +140,6 @@ class FileContext:
         self.imports = _ImportMap.from_tree(self.tree)
         self.line_disables: Dict[int, Set[str]] = {}
         self.file_disables: Set[str] = set()
-        self.marker_lines: Set[int] = set()
         self._scan_directives()
 
     def _scan_directives(self) -> None:
@@ -158,10 +151,7 @@ class FileContext:
                 match = _DIRECTIVE.search(token.string)
                 if match is None:
                     continue
-                body = match.group("body")
-                if PARITY_MARKER in body:
-                    self.marker_lines.add(token.start[0])
-                disable = _DISABLE.search(body)
+                disable = _DISABLE.search(match.group("body"))
                 if disable is not None:
                     codes = {
                         code.strip()
@@ -193,30 +183,8 @@ class FileContext:
 class Project:
     """Cross-file context shared by all rules during one run."""
 
-    def __init__(
-        self, root: Optional[Path], test_corpus: Optional[str] = None
-    ) -> None:
+    def __init__(self, root: Optional[Path]) -> None:
         self.root = root
-        self._corpus = test_corpus
-
-    @property
-    def has_corpus(self) -> bool:
-        return self._corpus is not None or self.root is not None
-
-    def test_corpus(self) -> str:
-        """Concatenated text of ``tests/**/*.py`` (lazily built)."""
-        if self._corpus is None:
-            parts: List[str] = []
-            if self.root is not None:
-                tests = self.root / "tests"
-                if tests.is_dir():
-                    for path in sorted(tests.rglob("*.py")):
-                        try:
-                            parts.append(path.read_text(encoding="utf-8"))
-                        except OSError:  # pragma: no cover - defensive
-                            continue
-            self._corpus = "\n".join(parts)
-        return self._corpus
 
 
 @dataclass
@@ -298,13 +266,12 @@ def lint_paths(
     files: Iterable[Path],
     rules: Optional[Sequence[object]] = None,
     baseline: Optional[Set[Tuple[str, str, str]]] = None,
-    test_corpus: Optional[str] = None,
 ) -> LintResult:
     """Run the rules over ``files`` (absolute paths under ``root``)."""
     from repro.analysis.rules import build_rules
 
     active = list(rules) if rules is not None else build_rules()
-    project = Project(root, test_corpus=test_corpus)
+    project = Project(root)
     result = LintResult()
     contexts: Dict[str, FileContext] = {}
     raw: List[Finding] = []
@@ -345,7 +312,6 @@ def lint_tree(
     targets: Sequence[str] = DEFAULT_TARGETS,
     rules: Optional[Sequence[object]] = None,
     baseline: Optional[Set[Tuple[str, str, str]]] = None,
-    test_corpus: Optional[str] = None,
 ) -> LintResult:
     """Lint the default targets under ``root``."""
     return lint_paths(
@@ -353,7 +319,6 @@ def lint_tree(
         iter_python_files(root, targets),
         rules=rules,
         baseline=baseline,
-        test_corpus=test_corpus,
     )
 
 
@@ -361,7 +326,6 @@ def lint_source(
     source: str,
     path: str,
     rules: Optional[Sequence[object]] = None,
-    test_corpus: Optional[str] = None,
 ) -> LintResult:
     """Lint one in-memory source under a virtual repo-relative ``path``.
 
@@ -372,7 +336,7 @@ def lint_source(
     from repro.analysis.rules import build_rules
 
     active = list(rules) if rules is not None else build_rules()
-    project = Project(None, test_corpus=test_corpus)
+    project = Project(None)
     result = LintResult(files_scanned=1)
     try:
         ctx = FileContext(path, source)

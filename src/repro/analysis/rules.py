@@ -1,4 +1,4 @@
-"""The standing-invariant rules of ``repro-lint`` (R001-R008).
+"""The standing-invariant rules of ``repro-lint`` (R001-R008, R007 retired).
 
 Each rule mechanises one invariant the repo has so far enforced only by
 convention and after-the-fact property tests:
@@ -12,7 +12,6 @@ R003      kernel-purity         numpy is quarantined in ``repro.core.kernel``
 R004      bounded-queues        serve/cluster queues declare a capacity
 R005      asyncio-hygiene       no blocking calls inside ``async def`` in serve
 R006      hot-path-slots        hot-path classes declare ``__slots__``
-R007      batch-parity          batch overrides pair with per-event overrides
 R008      metric-naming         registry families are ``repro_*`` and unique
 ========  ====================  ==============================================
 
@@ -530,77 +529,6 @@ class HotPathSlotsRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# R007 batch/per-event parity pairing
-# ----------------------------------------------------------------------
-class BatchParityRule(Rule):
-    code = "R007"
-    name = "batch-parity"
-    summary = "a Stage overriding process_batch pairs it with on_event"
-    explanation = (
-        "The determinism contract says batched and per-event execution "
-        "emit bit-identical detections; that is only checkable when "
-        "both paths exist. A Stage subclass overriding process_batch "
-        "without overriding on_event has no per-event reference "
-        "implementation to compare against. Override both, or mark the "
-        "class `# repro-lint: parity-tested` -- the marker is "
-        "cross-checked against tests/ actually mentioning the class, "
-        "so it cannot rot silently."
-    )
-
-    def applies_to(self, path: str) -> bool:
-        return path.startswith("src/repro/")
-
-    def check(self, ctx: FileContext, project: Project) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not self._is_stage_subclass(node):
-                continue
-            defined = {
-                stmt.name
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            if "process_batch" not in defined or "on_event" in defined:
-                continue
-            end = getattr(node, "end_lineno", node.lineno) or node.lineno
-            marked = any(
-                node.lineno <= line <= end for line in ctx.marker_lines
-            )
-            if not marked:
-                findings.append(
-                    self.finding(
-                        ctx,
-                        node,
-                        f"{node.name} overrides process_batch without "
-                        "on_event; pair them or mark the class "
-                        "`# repro-lint: parity-tested` (backed by a test)",
-                        symbol=node.name,
-                    )
-                )
-            elif project.has_corpus and node.name not in project.test_corpus():
-                findings.append(
-                    self.finding(
-                        ctx,
-                        node,
-                        f"{node.name} is marked parity-tested but no file "
-                        "under tests/ references it",
-                        symbol=node.name,
-                    )
-                )
-        return findings
-
-    @staticmethod
-    def _is_stage_subclass(node: ast.ClassDef) -> bool:
-        for base in node.bases:
-            dotted = dotted_name(base)
-            if dotted is not None and dotted.split(".")[-1].endswith("Stage"):
-                return True
-        return False
-
-
-# ----------------------------------------------------------------------
 # R008 metric naming
 # ----------------------------------------------------------------------
 class MetricNamingRule(Rule):
@@ -684,7 +612,6 @@ def build_rules() -> List[Rule]:
         BoundedQueuesRule(),
         AsyncioHygieneRule(),
         HotPathSlotsRule(),
-        BatchParityRule(),
         MetricNamingRule(),
     ]
 

@@ -215,7 +215,7 @@ class ShardedPipeline:
         self._sync_token = 0
         self._last_check = 0.0
         #: live-feed micro-batch of the serve surface (feed/finish)
-        self._live_batch: Optional[EventBatch] = None
+        self._live_batch = EventBatch()
         self._failure_detector = FailureDetector(timeout=heartbeat_timeout)
         self._windows_since_checkpoint = 0
         self.coordinator: Optional[ClusterCoordinator] = None
@@ -498,29 +498,27 @@ class ShardedPipeline:
         overload-check semantics (see :meth:`_check_overload`).
         """
         coordinator = self.coordinator
-        # bounded queues need per-event admission; the batched ingress
-        # is only equivalent when rejections cannot depend on drain
-        # interleaving (see Pipeline.run)
-        batched_ingress = self.pipeline.config.queue_capacity is None
+        # a bounded queue admits by its depth between batches, so its
+        # enqueue and drain interleave per event (see
+        # QueryChain.ingest_batch)
+        if self.pipeline.config.queue_capacity is None:
+            pieces = [batch]
+        else:
+            pieces = [
+                EventBatch([event], [now])
+                for event, now in zip(batch.events, batch.nows)
+            ]
         for state in self._chain_states:
             chain = state.chain
-            if batched_ingress:
-                # synchronous drain, like QueryChain.run_batch: the
-                # staging depth of the batch is not backlog
-                assign_stage = chain.window_assign
-                depth_before = assign_stage.max_queue_depth
-                chain.ingest_batch(batch)
-                items = chain.queue.pop_all()
-                assign_stage.max_queue_depth = max(
-                    depth_before, 1 if items else 0
-                )
-            else:
-                items = []
-                for event, now in zip(batch.events, batch.nows):
-                    if chain.ingest(event, now):
-                        queue = chain.queue
-                        while queue:
-                            items.append(queue.pop())
+            # synchronous drain, like QueryChain.run_batch: the staging
+            # depth of the batch is not backlog
+            assign_stage = chain.window_assign
+            depth_before = assign_stage.max_queue_depth
+            items = []
+            for piece in pieces:
+                chain.ingest_batch(piece)
+                items.extend(chain.queue.pop_all())
+            assign_stage.max_queue_depth = max(depth_before, 1 if items else 0)
             per_shard: Dict[int, List[tuple]] = {}
             for item in items:
                 for window in item.closed_windows:
@@ -539,9 +537,15 @@ class ShardedPipeline:
     def feed(
         self, event: Event, now: Optional[float] = None
     ) -> Dict[str, List[ComplexEvent]]:
-        """Push one live event into the cluster (serve-compatible).
+        """Push one live event into the cluster (serve-compatible)."""
+        return self.feed_many((event,), now=now)
 
-        The sharded twin of :meth:`repro.pipeline.Pipeline.feed`:
+    def feed_many(
+        self, events: Iterable[Event], now: Optional[float] = None
+    ) -> Dict[str, List[ComplexEvent]]:
+        """Push a slice of live events, in order (serve-compatible).
+
+        The sharded twin of :meth:`repro.pipeline.Pipeline.feed_many`:
         events buffer into a ``batch_size`` micro-batch; a full batch
         runs the ingress half, ships windows to the shards and releases
         whatever the coordinator has merged so far -- in dispatch
@@ -551,27 +555,15 @@ class ShardedPipeline:
         buffering).
         """
         self.start()
-        if self._live_batch is None:
-            self._live_batch = EventBatch()
-        self._live_batch.append(
-            event, now if now is not None else event.timestamp
-        )
-        if len(self._live_batch) >= self.batch_size:
-            return self.flush_pending()
-        return {state.name: [] for state in self._chain_states}
-
-    def feed_many(
-        self, events: Iterable[Event], now: Optional[float] = None
-    ) -> Dict[str, List[ComplexEvent]]:
-        """Push a slice of live events, in order (serve-compatible)."""
-        self.start()
         out: Dict[str, List[ComplexEvent]] = {
             state.name: [] for state in self._chain_states
         }
         for event in events:
-            for name, detected in self.feed(event, now=now).items():
-                if detected:
-                    out[name].extend(detected)
+            self._live_batch.append(
+                event, now if now is not None else event.timestamp
+            )
+            if len(self._live_batch) >= self.batch_size:
+                self._flush_live(out)
         return out
 
     def flush_pending(self) -> Dict[str, List[ComplexEvent]]:
@@ -580,11 +572,14 @@ class ShardedPipeline:
         out: Dict[str, List[ComplexEvent]] = {
             state.name: [] for state in self._chain_states
         }
-        batch, self._live_batch = self._live_batch, None
+        self._flush_live(out)
+        return out
+
+    def _flush_live(self, out: Dict[str, List[ComplexEvent]]) -> None:
+        batch, self._live_batch = self._live_batch, EventBatch()
         if batch:
             self._ingest_batch(batch, live=True)
         self._release(out)
-        return out
 
     def finish(self) -> Dict[str, List[ComplexEvent]]:
         """End a live feed session: flush buffers, windows and shards.

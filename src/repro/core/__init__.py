@@ -17,21 +17,11 @@ Building blocks
   ``qmax``/``f`` logic and drop-amount computation (paper §3.4).
 - :func:`~repro.core.fvalue.select_f` -- utility-clustering based
   choice of the ``f`` parameter (paper §3.4, "appropriate f value").
-
-Deprecated
-----------
-
-- :class:`~repro.core.espice.ESpice` /
-  :class:`~repro.core.espice.ESpiceConfig` -- the pre-pipeline manual
-  wiring facade, kept as a thin shim over the same shared factories
-  the :class:`repro.pipeline.PipelineBuilder` uses.  New code should
-  build a pipeline instead.
 """
 
 from repro.core.adaptive import AdaptiveController, RetrainEvent
 from repro.core.cdt import CDT, build_cdt
 from repro.core.drift import DriftDetector, DriftStatus
-from repro.core.espice import ESpice, ESpiceConfig
 from repro.core.fvalue import select_f
 from repro.core.model import ModelBuilder, UtilityModel
 from repro.core.overload import OverloadDetector, OverloadSample
@@ -47,8 +37,6 @@ __all__ = [
     "DriftDetector",
     "DriftStatus",
     "RetrainEvent",
-    "ESpice",
-    "ESpiceConfig",
     "ESpiceShedder",
     "ModelBuilder",
     "OverloadDetector",

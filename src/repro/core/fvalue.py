@@ -157,9 +157,8 @@ def effective_f(
 ) -> float:
     """The configured ``f``, or the auto-selected one when unset.
 
-    Single home of the guard/selection logic shared by the deprecated
-    :class:`~repro.core.espice.ESpice` facade and the
-    :mod:`repro.pipeline` builder: a configured ``f`` wins outright;
+    Single home of the guard/selection logic of a
+    :mod:`repro.pipeline` deployment: a configured ``f`` wins outright;
     automatic selection (paper §3.4) needs a trained model plus
     expected processing latency / input rate hints and derives
     ``qmax`` and the surplus rate from them before delegating to

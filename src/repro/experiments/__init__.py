@@ -2,8 +2,7 @@
 
 Each runner returns plain dataclasses with a ``rows()`` method that
 prints the same series the paper's figure plots; the benchmarks in
-``benchmarks/`` and the record in ``EXPERIMENTS.md`` are generated from
-these runners.
+``benchmarks/`` are generated from these runners.
 
 - :mod:`repro.experiments.common` -- shared machinery: build streams,
   train models, run one (strategy, rate) quality point.

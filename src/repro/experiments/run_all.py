@@ -6,8 +6,7 @@ Usage::
     python -m repro.experiments.run_all fig5 fig7    # a subset
     python -m repro.experiments.run_all --quick      # reduced sweeps
 
-Prints the same series the benchmarks assert on; EXPERIMENTS.md was
-written from this output.
+Prints the same series the benchmarks assert on.
 """
 
 from __future__ import annotations

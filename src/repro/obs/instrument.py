@@ -1,19 +1,21 @@
-"""Hot-path instrumentation: prebound wrappers around stage dispatch.
+"""Hot-path instrumentation: composites in place of stage dispatch.
 
-The pipeline's hot loops call prebound dispatch tuples
-(``QueryChain._ingress_dispatch`` & friends) instead of resolving stage
-attributes per event -- the PR-2 hot-path trick.  Observability reuses
-the exact same trick in reverse: *enabling* obs rebuilds those tuples
-with timing/tracing wrapper closures, *disabling* it restores the
-plain prebound methods.  When obs is off the dispatch tuples are
-byte-identical to an uninstrumented pipeline, so the disabled cost is
-structurally zero -- no flag checks, no no-op calls on the hot path.
+A chain's two halves each call one tuple of prebound ``process_batch``
+methods (``QueryChain._ingress_batch_dispatch`` /
+``_egress_batch_dispatch``) instead of resolving stage attributes per
+batch.  Observability reuses that trick in reverse: *enabling* obs
+replaces each tuple with one timing/tracing composite closure,
+*disabling* it restores the plain prebound methods.  When obs is off
+the dispatch tuples are byte-identical to an uninstrumented pipeline,
+so the disabled cost is structurally zero -- no flag checks, no no-op
+calls on the hot path.  Every driver (live feed, replay, the
+virtual-time simulation's one-item egress) goes through those two
+tuples, so the two composites are the only instrumentation.
 
-What the wrappers record (and what they deliberately do not):
+What the composites record (and what they deliberately do not):
 
-- per-(query, stage) wall-time histograms around every stage call
-  (per batch on the batched path: one observation amortizes over the
-  whole batch);
+- per-(query, stage) wall-time histograms around every stage call (one
+  observation per batch, amortized over its events);
 - micro-batch size and queue-wait histograms;
 - window lifecycle traces, written only at window *close* (one record
   per window, backfilled from ``Window.open_time``) and at actual
@@ -29,7 +31,6 @@ event path nothing.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from time import perf_counter
 from typing import Callable, Dict, Optional
 
@@ -105,13 +106,9 @@ class Observability:
 # chain instrumentation
 # ----------------------------------------------------------------------
 def instrument_chain(chain, obs: Observability) -> None:
-    """Rebuild ``chain``'s dispatch tuples with instrumented wrappers."""
+    """Replace ``chain``'s dispatch tuples with instrumented composites."""
     query = chain.query.name
     tracer = obs.tracer
-    # The per-event wrappers update the stage-time histogram children
-    # inline (bisect + three attribute bumps) instead of calling
-    # ``Histogram.observe``; the batched composites go further and
-    # only append to the pending buffer (see below).
     stage_hist = {
         id(stage): obs.stage_seconds.labels(query=query, stage=stage.name)
         for stage in chain.stages
@@ -199,72 +196,19 @@ def instrument_chain(chain, obs: Observability) -> None:
         for wid, count in emitted.items():
             tracer.on_emitted(query, wid, now, count)
 
-    # Hooks fire through inline prechecks specialised per stage: the
-    # common no-op context (nothing dropped, no window closed, nothing
-    # emitted) costs attribute loads only, never a Python call.  With
-    # the paper-default 0.1s detector interval forcing ~2-event
-    # micro-batches, per-context calls are what blows the ≤2% budget.
-    def _check_shed(ctx) -> None:
-        drops = ctx.drops
-        if drops and True in drops:
-            shed_after(ctx)
-
-    def _check_match(ctx) -> None:
-        item = ctx.item
-        if item is not None and item.closed_windows:
-            match_after(ctx)
-
-    def _check_emit(ctx) -> None:
-        result = ctx.result
-        if result is not None and result.complex_events:
-            emit_after(ctx)
-
-    after_hooks: Dict[int, Callable] = {
-        id(shed_stage): _check_shed,
-        id(match_stage): _check_match,
-        id(emit_stage): _check_emit,
-    }
-
-    def event_wrapper(stage):
-        on_event = stage.on_event
-        hist = stage_hist[id(stage)]
-        after = after_hooks.get(id(stage))
-        if after is None:
-            def wrapped(ctx, _on_event=on_event, _h=hist):
-                start = perf_counter()
-                out = _on_event(ctx)
-                elapsed = perf_counter() - start
-                _h.counts[bisect_left(_h.bounds, elapsed)] += 1
-                _h.sum += elapsed
-                _h.count += 1
-                return out
-        else:
-            def wrapped(ctx, _on_event=on_event, _h=hist, _after=after):
-                start = perf_counter()
-                out = _on_event(ctx)
-                elapsed = perf_counter() - start
-                _h.counts[bisect_left(_h.bounds, elapsed)] += 1
-                _h.sum += elapsed
-                _h.count += 1
-                if out is not False:
-                    _after(ctx)
-                return out
-        return wrapped
-
-    # The batched halves are instrumented as ONE composite closure per
-    # dispatch tuple rather than one wrapper per stage.  Two reasons,
-    # both measured against the ≤2% budget at batch=64:
+    # Each half is instrumented as ONE composite closure per dispatch
+    # tuple rather than one wrapper per stage.  Three reasons, all
+    # measured against the ≤2% budget at batch=64:
     #
     # - per-context scans are gated on counter deltas the stages
-    #   already maintain (shedder drops, windows closed, emitted): a
+    #   already maintain (shedder drops, windows completed, emitted): a
     #   batch in which nothing dropped, closed or emitted -- the
     #   overwhelmingly common case -- costs one integer compare instead
-    #   of an O(batch) attribute-check loop.  Window closes happen in
-    #   the *ingress* half (window assignment), so the ingress
-    #   composite snapshots ``windows_closed`` before the batch enters
-    #   and the egress composite compares after the match stage.
-    #   Segments of one overloaded batch all rescan; closes are rare
-    #   enough that the duplicate scans find nothing.
+    #   of an O(batch) attribute-check loop.  All three deltas are
+    #   taken inside the egress composite, around the stage that moves
+    #   the counter: the queue may decouple the two halves of a batch
+    #   (the simulation driver processes items long after their
+    #   arrival), so nothing the ingress saw can gate an egress scan.
     # - consecutive stages share one ``perf_counter()`` timestamp (the
     #   end of stage N is the start of stage N+1), halving the clock
     #   reads and dropping four wrapper frames per batch.  After a rare
@@ -275,8 +219,6 @@ def instrument_chain(chain, obs: Observability) -> None:
     #   times cheaper than the bisect-and-bump), folded into the
     #   buckets by ``Histogram.flush_pending`` at scrape time.  One
     #   length check per batch bounds the buffers between scrapes.
-    assign_stage = chain.window_assign
-    closed_mark = [0]
     batch_size_hist = obs.batch_size.labels(query=query)
 
     ingress_steps = tuple(
@@ -299,7 +241,6 @@ def instrument_chain(chain, obs: Observability) -> None:
         if len(bs_pending) >= 4096:
             for h in hot_hists:
                 h.flush_pending()
-        closed_mark[0] = assign_stage.windows_closed
         t0 = perf_counter()
         for process, observe in _steps:
             process(batch)
@@ -311,6 +252,15 @@ def instrument_chain(chain, obs: Observability) -> None:
     shed_observe = stage_hist[id(shed_stage)].pending.append
     match_process = match_stage.process_batch
     match_observe = stage_hist[id(match_stage)].pending.append
+    # windows the match stage has completed, by either kind of chain
+    if chain.parallel is not None:
+        windows_completed = chain.parallel.total_windows
+    else:
+        operator = chain.operator
+
+        def windows_completed() -> int:
+            return operator.stats.windows_completed
+
     emit_process = emit_stage.process_batch
     emit_observe = stage_hist[id(emit_stage)].pending.append
     # custom egress stages appended after emit, if any
@@ -335,7 +285,9 @@ def instrument_chain(chain, obs: Observability) -> None:
                     shed_after(ctx)
             t1 = perf_counter()
         t0 = t1
+        closed_delta = -windows_completed()
         match_process(batch)
+        closed_delta += windows_completed()
         t1 = perf_counter()
         match_observe(t1 - t0)
         t0 = t1
@@ -349,11 +301,7 @@ def instrument_chain(chain, obs: Observability) -> None:
         # emit candidates are a subset of the match candidates and the
         # common non-closing context costs two loads and two tests.
         # The counter deltas bound the scan (early exit once every
-        # close and every detection is accounted for); under
-        # segmentation the deltas may include closes from a sibling
-        # segment, whose contexts are not in this batch -- the scan
-        # simply runs to the end and the sibling handles them.
-        closed_delta = assign_stage.windows_closed - closed_mark[0]
+        # close and every detection is accounted for).
         emit_delta = emit_stage.emitted - emitted_before
         if closed_delta > 0 or emit_delta > 0:
             for ctx in contexts:
@@ -379,16 +327,12 @@ def instrument_chain(chain, obs: Observability) -> None:
                 observe(t1 - t0)
                 t0 = t1
 
-    chain._ingress_dispatch = tuple(event_wrapper(s) for s in chain.ingress)
-    chain._egress_dispatch = tuple(event_wrapper(s) for s in chain.egress)
     chain._ingress_batch_dispatch = (ingress_composite,)
     chain._egress_batch_dispatch = (egress_composite,)
 
 
 def deinstrument_chain(chain) -> None:
     """Restore the plain prebound dispatch tuples (obs off)."""
-    chain._ingress_dispatch = tuple(s.on_event for s in chain.ingress)
-    chain._egress_dispatch = tuple(s.on_event for s in chain.egress)
     chain._ingress_batch_dispatch = tuple(
         s.process_batch for s in chain.ingress
     )

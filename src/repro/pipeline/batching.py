@@ -1,17 +1,18 @@
 """Micro-batching of the pipeline's event path.
 
-The per-event stage chain pays interpreter constants -- stage dispatch,
-context allocation, queue round-trips -- for every single event.
+A stage chain pays interpreter constants -- stage dispatch, context
+allocation, queue round-trips -- once per batch it is handed.
 Micro-batching amortises them: events are accumulated into
 :class:`EventBatch` objects under the classic *size-or-linger* rule
 (mirroring :class:`repro.cluster.transport.BatchingSender`, but in
 event time so replays stay deterministic) and each stage processes the
 whole batch in one call (:meth:`repro.pipeline.stages.Stage.process_batch`).
 
-Batched execution is semantically transparent: detections are
-bit-for-bit identical, and identically ordered, to per-event execution
-(property-tested across batch sizes).  ``batch_size=1`` degenerates to
-the per-event path.
+The batch is the only unit of execution: ``batch_size=1`` hands the
+same stage bodies batches of one event -- there is no other path.
+Batch size is semantically transparent: detections are bit-for-bit
+identical, and identically ordered, at every size (property-tested
+across sizes {1, 2, 7, 64, 1000}).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class EventBatch:
 
     ``nows[i]`` is the time at which ``events[i]`` is (or was) fed --
     the event's own timestamp in replay mode, the explicit feed time in
-    live mode.  Keeping the per-event clock is what lets a batched run
-    stamp detections and enqueue times exactly like the per-event path.
+    live mode.  Keeping the per-event clock is what lets a batch of any
+    size stamp detections and enqueue times exactly like batches of one.
     """
 
     events: List[Event] = field(default_factory=list)
@@ -117,11 +118,10 @@ def iter_batches(
 class StageBatch:
     """One :class:`EventBatch` threaded through a stage chain.
 
-    Wraps the per-event :class:`StageContext` objects so batch-aware
-    stages can process them in one call while per-event (custom) stages
-    keep their exact semantics: a stage vetoing an event marks its
-    context ``stopped`` and every later stage skips it -- the batched
-    equivalent of ``on_event`` returning ``False``.
+    Wraps the per-event :class:`StageContext` objects so a stage
+    processes them in one call: a stage vetoing an event marks its
+    context ``stopped`` and every later stage skips it (what the base
+    class makes of a custom stage's ``on_event`` returning ``False``).
     """
 
     __slots__ = ("contexts",)
@@ -133,7 +133,7 @@ class StageBatch:
     def from_events(cls, batch: EventBatch) -> "StageBatch":
         return cls(
             [
-                StageContext(event=event, now=now)
+                StageContext(event, now)
                 for event, now in zip(batch.events, batch.nows)
             ]
         )

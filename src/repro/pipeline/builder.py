@@ -163,8 +163,8 @@ class PipelineBuilder:
         batch in one call, with the shedding decisions resolved by the
         vectorized kernel (:mod:`repro.core.kernel`).  Detections stay
         bit-identical and identically ordered; only constants drop.
-        ``batch_size=1`` (the default) keeps per-event execution, and a
-        bounded :meth:`queue_capacity` forces it.
+        ``batch_size=1`` (the default) hands the same stages batches of
+        one event, and a bounded :meth:`queue_capacity` forces that size.
         """
         if batch_size <= 0:
             raise ValueError("batch size must be positive")

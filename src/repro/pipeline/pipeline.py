@@ -79,8 +79,9 @@ def _materialise(stream: Iterable[Event]) -> Iterable[Event]:
 class PipelineConfig:
     """Shared knobs of a pipeline (one copy per chain).
 
-    The same knobs the deprecated ``ESpiceConfig`` carried, plus the
-    queue capacity used for admission control in live mode.
+    The eSPICE knobs (latency bound, ``f``, bin size, check interval)
+    plus the queue capacity used for admission control and the
+    micro-batch shape of the event path.
     """
 
     latency_bound: float = 1.0
@@ -90,7 +91,7 @@ class PipelineConfig:
     reference_size: Optional[int] = None
     queue_capacity: Optional[int] = None
     seed: int = 0
-    #: Micro-batch size of the hot event path (1 = per-event execution).
+    #: Micro-batch size of the event path (1 = one event per batch).
     batch_size: int = 1
     #: Event-time seconds the oldest buffered event may wait before the
     #: micro-batch ships early (0 = flush purely by size).
@@ -138,9 +139,10 @@ class QueryChain:
 
     Built by :class:`repro.pipeline.builder.PipelineBuilder`; driven
     either by :class:`Pipeline` (live mode) or by the virtual-time
-    simulation driver, both through the same four entry points:
-    :meth:`ingest`, :meth:`process_item`, :meth:`on_tick`,
-    :meth:`flush`.
+    simulation driver, both through the same entry points:
+    :meth:`ingest_batch` (:meth:`ingest` for one event),
+    :meth:`process_batch` (:meth:`process_item` for one dequeued item),
+    :meth:`on_tick`, :meth:`flush`.
     """
 
     def __init__(
@@ -205,14 +207,12 @@ class QueryChain:
             *(egress_stages or []),
         ]
         self.stages: List[Stage] = [*self.ingress, *self.egress]
-        # hot-path dispatch: the per-event loops call prebound
-        # ``on_event`` methods instead of re-resolving stage attributes
-        # per event (the stage chain is fixed after construction); the
-        # batched loops do the same with ``process_batch``.  Enabling
-        # observability swaps these tuples for instrumented wrappers --
-        # disabled, they are identical to an uninstrumented chain.
-        self._ingress_dispatch = tuple(s.on_event for s in self.ingress)
-        self._egress_dispatch = tuple(s.on_event for s in self.egress)
+        # hot-path dispatch: each half of the chain is a tuple of
+        # prebound ``process_batch`` methods (the stage chain is fixed
+        # after construction), so nothing re-resolves stage attributes
+        # per batch.  Enabling observability swaps these tuples for
+        # instrumented composites -- disabled, they are identical to an
+        # uninstrumented chain.
         self._ingress_batch_dispatch = tuple(s.process_batch for s in self.ingress)
         self._egress_batch_dispatch = tuple(s.process_batch for s in self.egress)
 
@@ -246,8 +246,8 @@ class QueryChain:
     def create_shedder(self) -> LoadShedder:
         """A fresh, unwired shedder of this chain's strategy.
 
-        For callers that drive components manually (micro-benchmarks,
-        the deprecated facade); :meth:`deploy` wires its own.
+        For callers that drive components manually (micro-benchmarks);
+        :meth:`deploy` wires its own.
         """
         if self.strategy is None:
             raise RuntimeError("no shedding strategy configured")
@@ -408,43 +408,31 @@ class QueryChain:
     # event path (shared by live mode and the simulation driver)
     # ------------------------------------------------------------------
     def ingest(self, event: Event, now: float) -> bool:
-        """Run the ingress half; returns False when the event was vetoed."""
-        ctx = StageContext(event=event, now=now)
-        for on_event in self._ingress_dispatch:
-            if on_event(ctx) is False:
-                return False
-        return True
+        """Ingest one event; returns False when a stage vetoed it."""
+        stage_batch = self.ingest_batch(EventBatch([event], [now]))
+        return not stage_batch.contexts[0].stopped
 
     def process_item(self, item: QueuedItem, now: float) -> ProcessResult:
-        """Run the egress half over one dequeued item."""
-        ctx = StageContext(event=item.event, now=now, item=item)
-        for on_event in self._egress_dispatch:
-            if on_event(ctx) is False:
-                break
+        """Run the egress half over one item the driver dequeued.
+
+        A batch of one needs no segmentation (see :meth:`process_batch`):
+        nothing follows the item that could see a completed window.
+        """
+        ctx = StageContext(item.event, now, item)
+        stage_batch = StageBatch([ctx])
+        for process_batch in self._egress_batch_dispatch:
+            process_batch(stage_batch)
         return ctx.result if ctx.result is not None else ProcessResult()
 
-    def drain(self, now: float) -> List[ComplexEvent]:
-        """Process every queued item (live mode's synchronous drain)."""
-        complex_events: List[ComplexEvent] = []
-        while self.queue:
-            item = self.queue.pop()
-            complex_events.extend(self.process_item(item, now).complex_events)
-        return complex_events
-
-    # ------------------------------------------------------------------
-    # micro-batched event path (amortized stage dispatch; detections are
-    # bit-identical and identically ordered vs the per-event path)
-    # ------------------------------------------------------------------
     def ingest_batch(self, batch: EventBatch) -> StageBatch:
-        """Run the ingress half over a whole micro-batch.
+        """Run the ingress half over a micro-batch of arrivals.
 
         Each ingress stage processes the batch in one
-        :meth:`~repro.pipeline.stages.Stage.process_batch` call (custom
-        stages fall back to their per-event ``on_event``).  Requires an
-        unbounded queue: per-event admission interleaves enqueue and
-        drain, so capacity checks are only equivalent when they cannot
-        trigger -- the pipeline falls back to per-event execution when
-        a ``queue_capacity`` is configured.
+        :meth:`~repro.pipeline.stages.Stage.process_batch` call.  A
+        bounded queue admits by its depth *between* batches (admission
+        runs before the batch is enqueued), so drivers hand a chain
+        with a ``queue_capacity`` batches of one: enqueue and drain
+        then interleave per event.
         """
         stage_batch = StageBatch.from_events(batch)
         for process_batch in self._ingress_batch_dispatch:
@@ -459,8 +447,8 @@ class QueryChain:
         updates the window-size predictor and may fire listeners (drift
         detection, adaptive retrain with a hot model swap), so the
         decisions of later items must see that new state exactly as
-        they would per event.  Within a segment no such state change
-        can occur, and the shedding stage resolves every (event,
+        they would one event at a time.  Within a segment no such state
+        change can occur, and the shedding stage resolves every (event,
         window) pair with one vectorized kernel pass.  Without live
         shedding the whole batch is one segment.
         """
@@ -484,7 +472,7 @@ class QueryChain:
         """Ingest and immediately drain one micro-batch (synchronous mode).
 
         The queue exists only within this call, so the backpressure
-        metric is reconciled to its per-event equivalent: interleaved
+        metric is reconciled to its batch-of-one equivalent: interleaved
         execution never sees more than one item queued, and the staging
         depth of the batch must not masquerade as backlog.
         """
@@ -570,14 +558,18 @@ class Pipeline:
         # observability bundle (repro.obs.Observability) when enabled
         self.observability = None
         self._obs_collector = None
-        # live-mode micro-batcher (size-or-linger); None = per-event
-        # feeds.  Bounded queues need per-event admission, so batching
-        # only engages on unbounded pipelines.
-        self._feed_batcher: Optional[MicroBatcher] = (
-            MicroBatcher(config.batch_size, config.linger)
-            if config.batch_size > 1 and config.queue_capacity is None
-            else None
-        )
+        # live-mode micro-batcher (size-or-linger)
+        self._feed_batcher = MicroBatcher(self._batch_size(), config.linger)
+
+    def _batch_size(self, override: Optional[int] = None) -> int:
+        """The micro-batch size the event path runs at.
+
+        A bounded queue admits by its depth between batches, so its
+        enqueue and drain must interleave per event: batches of one.
+        """
+        if self.config.queue_capacity is not None:
+            return 1
+        return self.config.batch_size if override is None else override
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -671,12 +663,12 @@ class Pipeline:
         consequence of this event.
 
         With a configured micro-batch (``.batch(batch_size, linger)``)
-        the event is buffered instead and the whole batch is processed
-        -- with identical detections, in identical order -- once it
-        fills, lingers out, or a detector tick is due; the return value
-        then carries the flushed batch's detections (usually empty for
+        the event is buffered and the whole batch is processed -- with
+        identical detections, in identical order -- once it fills,
+        lingers out, or a detector tick is due; the return value then
+        carries the flushed batch's detections (usually empty for
         buffering calls).  :meth:`flush_pending` forces the buffer
-        through.
+        through.  At the default batch size of one every call flushes.
         """
         return self.feed_many((event,), now=now)
 
@@ -691,9 +683,8 @@ class Pipeline:
         detections of the whole slice land in one result mapping, built
         once per call.
         """
-        chains = self.chains
         out: Dict[str, List[ComplexEvent]] = {
-            chain.query.name: [] for chain in chains
+            chain.query.name: [] for chain in self.chains
         }
         batcher = self._feed_batcher
         # whether any stage acts on ticks is asked at most once per call
@@ -702,25 +693,14 @@ class Pipeline:
             at = now if now is not None else event.timestamp
             if at > self._last_fed:
                 self._last_fed = at
-            tick_due = self._next_tick is None or self._next_tick <= at
-            if batcher is None:
-                if tick_due:
-                    self._advance_ticks(at)
-                for chain in chains:
-                    if chain.ingest(event, at):
-                        detected = chain.drain(at)
-                        if detected:
-                            out[chain.query.name].extend(detected)
-                self._events_fed += 1
-                continue
-            if tick_due:
+            if self._next_tick is None or self._next_tick <= at:
                 if batcher and self._next_tick is not None:
                     if ticks_observable is None:
                         ticks_observable = self._ticks_observable()
                     if ticks_observable:
                         # a due tick is a batch boundary: buffered events
                         # must be processed before detector duty runs,
-                        # like per-event mode
+                        # as they are at batch size one
                         self._collect_batch(batcher.take(), out)
                 self._advance_ticks(at)
             batch = batcher.add(event, at)
@@ -748,13 +728,12 @@ class Pipeline:
     def flush_pending(self) -> Dict[str, List[ComplexEvent]]:
         """Process whatever the live micro-batcher still buffers.
 
-        No-op (empty result) without batching or with an empty buffer.
-        Call at the end of a feed session -- or whenever a downstream
-        consumer must observe everything fed so far.
+        No-op (empty result) with an empty buffer -- always, at batch
+        size one.  Call at the end of a feed session -- or whenever a
+        downstream consumer must observe everything fed so far.
         """
         out = {chain.query.name: [] for chain in self.chains}
-        if self._feed_batcher is not None:
-            self._collect_batch(self._feed_batcher.take(), out)
+        self._collect_batch(self._feed_batcher.take(), out)
         return out
 
     def _collect_batch(
@@ -794,10 +773,17 @@ class Pipeline:
         Returns everything collected since the previous ``run``.
 
         ``batch_size`` overrides the configured micro-batch size for
-        this replay (``None`` uses ``config.batch_size``).  Batched
-        replays produce bit-identical, identically ordered detections;
-        a bounded queue forces the per-event path (its admission checks
-        interleave enqueue and drain).
+        this replay (``None`` uses ``config.batch_size``); detections
+        are bit-identical and identically ordered at every size (a
+        bounded queue always runs at size one, see :meth:`_batch_size`).
+        That equivalence is structural: per-event clocks travel with
+        the batch, detector ticks force a flush before they fire, and
+        the egress splits at window completions (see
+        :meth:`QueryChain.process_batch`).  When no stage has periodic
+        duty (no overload detector, no tick-driven custom stage) ticks
+        are provably no-ops, so neither the flushes nor the tick
+        bookkeeping run at all -- otherwise every due tick would cap
+        the effective batch at ``check_interval``'s worth of events.
         """
         for chain in self.chains:
             chain.emit.drain_collected()
@@ -807,23 +793,21 @@ class Pipeline:
             # with retention already on: their detections join this
             # run's result instead of being silently dropped
             self.flush_pending()
-            bsize = self.config.batch_size if batch_size is None else batch_size
-            if bsize > 1 and self.config.queue_capacity is None:
-                return self._run_batched(stream, bsize, self.config.linger)
             fed_before = self._events_fed
-            chains = self.chains
             last = 0.0
-            # tighter per-event loop than feed(): detections accumulate
-            # in the emit stages, so no per-event result dict is built
+            ticks = self._ticks_observable()
+            batcher = MicroBatcher(self._batch_size(batch_size), self.config.linger)
+            flush = self._flush_run_batch
             for event in stream:
                 last = event.timestamp
-                self._advance_ticks(last)
-                for chain in chains:
-                    if chain.ingest(event, last):
-                        queue = chain.queue
-                        while queue:
-                            chain.process_item(queue.pop(), last)
-                self._events_fed += 1
+                if ticks:
+                    if self._next_tick is not None and self._next_tick <= last:
+                        flush(batcher.take())
+                    self._advance_ticks(last)
+                flush(batcher.add(event, last))
+            if not ticks:
+                self._next_tick = None  # re-anchor: no tick was observable
+            flush(batcher.take())
             matches = {}
             for chain in self.chains:
                 chain.flush(now=last)
@@ -831,55 +815,6 @@ class Pipeline:
         finally:
             for chain in self.chains:
                 chain.emit.retain = False
-        return PipelineResult(
-            matches=matches,
-            metrics=self.metrics(),
-            events_fed=self._events_fed - fed_before,
-        )
-
-    def _run_batched(
-        self, stream: Iterable[Event], batch_size: int, linger: float
-    ) -> PipelineResult:
-        """Micro-batched replay: stage dispatch amortized per batch.
-
-        Equivalence with the per-event loop is structural: per-event
-        clocks travel with the batch, detector ticks force a flush
-        before they fire, and the egress splits at window completions
-        (see :meth:`QueryChain.process_batch`).  When no stage has
-        periodic duty (no overload detector, no tick-driven custom
-        stage) ticks are provably no-ops, so neither the flushes nor
-        the tick bookkeeping run at all -- otherwise every due tick
-        would cap the effective batch at ``check_interval``'s worth of
-        events.
-
-        Called by :meth:`run` only, inside its retain window (the
-        caller drains stale collections, sets ``emit.retain`` and
-        resets it afterwards).
-        """
-        fed_before = self._events_fed
-        chains = self.chains
-        last = 0.0
-        ticks = self._ticks_observable()
-        batcher = MicroBatcher(batch_size, linger)
-        if ticks:
-            for event in stream:
-                last = event.timestamp
-                if self._next_tick is not None and self._next_tick <= last:
-                    self._flush_run_batch(batcher.take())
-                self._advance_ticks(last)
-                self._flush_run_batch(batcher.add(event, last))
-        else:
-            add = batcher.add
-            flush = self._flush_run_batch
-            for event in stream:
-                last = event.timestamp
-                flush(add(event, last))
-            self._next_tick = None  # re-anchor: no tick was observable
-        self._flush_run_batch(batcher.take())
-        matches = {}
-        for chain in chains:
-            chain.flush(now=last)
-            matches[chain.query.name] = chain.emit.drain_collected()
         return PipelineResult(
             matches=matches,
             metrics=self.metrics(),

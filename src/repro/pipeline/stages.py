@@ -18,13 +18,16 @@ halves itself, which is how the same chain serves both push-based
 ingestion and deterministic replay.
 
 Every stage implements the common :class:`Stage` protocol --
-``on_event`` / ``process_batch`` / ``on_tick`` / ``metrics`` -- so
-cross-cutting concerns (rate limiting, sampling, logging, ...) drop
-into the chain exactly like framework middleware; :class:`RateLimitStage`,
-:class:`SamplingStage` and :class:`LoggingStage` are ready-made
-examples.  ``process_batch`` is the micro-batched hot path (see
-:mod:`repro.pipeline.batching`); its default implementation loops
-``on_event``, so a custom stage needs nothing extra to stay correct.
+``process_batch`` / ``on_tick`` / ``metrics`` -- so cross-cutting
+concerns (rate limiting, sampling, logging, ...) drop into the chain
+exactly like framework middleware.  ``process_batch`` is the one way an
+event moves through a chain: every driver hands stages a
+:class:`~repro.pipeline.batching.StageBatch` (a batch of one *is*
+per-event execution) and the core stages implement nothing else.  A
+user-written stage may implement the simpler per-event ``on_event``
+instead -- the base class adapts it, vetoes included;
+:class:`RateLimitStage`, :class:`SamplingStage` and
+:class:`LoggingStage` are ready-made examples.
 """
 
 from __future__ import annotations
@@ -53,9 +56,8 @@ class StageContext:
 
     Ingress stages read/replace :attr:`event` and may veto it; the
     window-assign stage fills :attr:`item`; egress stages fill
-    :attr:`drops` and :attr:`result`.  :attr:`stopped` is the batched
-    path's veto marker: once a stage stops a context, every later stage
-    skips it (the per-event path short-circuits the loop instead).
+    :attr:`drops` and :attr:`result`.  :attr:`stopped` is the veto
+    marker: once a stage stops a context, every later stage skips it.
     """
 
     __slots__ = ("event", "now", "item", "drops", "result", "stopped")
@@ -75,15 +77,17 @@ class StageContext:
 
 
 class Stage:
-    """Base middleware stage: ``on_event`` / ``on_tick`` / ``metrics``.
+    """Base middleware stage: ``process_batch`` / ``on_tick`` / ``metrics``.
 
-    ``on_event`` returns ``False`` to stop the chain for this event
-    (admission reject, sampling drop, rate limit, ...); anything else
-    continues.  ``on_tick`` receives the advancing (virtual or event)
-    time so periodic work -- overload checks, token refills -- happens
-    without piggybacking on event arrivals.  ``metrics`` reports the
-    stage's counters; the pipeline aggregates them per query chain, so
-    backpressure and drop behaviour are observable per stage.
+    ``process_batch`` is the contract the chain calls.  Stages that
+    think per event override ``on_event`` instead and return ``False``
+    to stop the chain for this event (sampling drop, rate limit, ...);
+    anything else continues.  ``on_tick`` receives the advancing
+    (virtual or event) time so periodic work -- overload checks, token
+    refills -- happens without piggybacking on event arrivals.
+    ``metrics`` reports the stage's counters; the pipeline aggregates
+    them per query chain, so backpressure and drop behaviour are
+    observable per stage.
     """
 
     __slots__ = ()
@@ -97,10 +101,10 @@ class Stage:
     def process_batch(self, batch: "StageBatch") -> None:
         """Process a micro-batch of contexts (see :mod:`.batching`).
 
-        The default loops :meth:`on_event` over the batch's live
-        contexts in stream order -- custom stages that never heard of
-        batching keep their exact per-event semantics, vetoes included.
-        Core stages override this with amortized implementations.
+        The default adapts :meth:`on_event`: it loops the batch's live
+        contexts in stream order and turns a veto into ``ctx.stopped``,
+        so custom stages that never heard of batching keep their exact
+        per-event semantics.  The core stages override this directly.
         """
         on_event = self.on_event
         for ctx in batch.contexts:
@@ -141,26 +145,23 @@ class AdmissionStage(Stage):
         self.arrivals = 0
         self.rejected = 0
 
-    def on_event(self, ctx: StageContext) -> bool:
-        self.arrivals += 1
-        if self.capacity is not None and self.queue.size >= self.capacity:
-            self.rejected += 1
-            return False
-        if self.detector is not None:
-            self.detector.record_arrival(ctx.now)
-        return True
-
     def process_batch(self, batch: "StageBatch") -> None:
-        if self.capacity is not None:
-            # bounded queues are driven per event (the pipeline falls
-            # back before batching; this guard keeps direct callers safe)
-            super().process_batch(batch)
+        contexts = batch.contexts
+        self.arrivals += len(contexts)
+        capacity = self.capacity
+        detector = self.detector
+        if capacity is None and detector is None:
             return
-        self.arrivals += len(batch.contexts)
-        if self.detector is not None:
-            record = self.detector.record_arrival
-            for ctx in batch.contexts:
-                record(ctx.now)
+        queue = self.queue
+        for ctx in contexts:
+            # the depth only moves between batches (enqueue is a later
+            # stage), which is why drivers hand a bounded chain batches
+            # of one
+            if capacity is not None and queue.size >= capacity:
+                self.rejected += 1
+                ctx.stopped = True
+            elif detector is not None:
+                detector.record_arrival(ctx.now)
 
     def metrics(self) -> Dict[str, object]:
         return {
@@ -212,37 +213,29 @@ class WindowAssignStage(Stage):
             self.operator.discard(item)
         return False
 
-    def on_event(self, ctx: StageContext) -> bool:
-        assignment = self.assigner.on_event(ctx.event)
-        ctx.item = QueuedItem(
-            ctx.event, assignment.assignments, assignment.closed, ctx.now
-        )
-        self.assigned_memberships += len(assignment.assignments.ids)
-        self.windows_closed += len(assignment.closed)
-        if not self._enqueue(ctx.item):
-            return False
-        self.max_queue_depth = max(self.max_queue_depth, self.queue.size)
-        return True
-
     def process_batch(self, batch: "StageBatch") -> None:
-        live = [ctx for ctx in batch.contexts if not ctx.stopped]
-        assignments = self.assigner.on_events([ctx.event for ctx in live])
+        assign = self.assigner.on_event
         enqueue = self._enqueue
         memberships = 0
         closed = 0
-        for ctx, assignment in zip(live, assignments):
+        for ctx in batch.contexts:
+            if ctx.stopped:
+                continue
+            event = ctx.event
+            assignment = assign(event)
             refs = assignment.assignments
-            ctx.item = item = QueuedItem(ctx.event, refs, assignment.closed, ctx.now)
+            ctx.item = item = QueuedItem(event, refs, assignment.closed, ctx.now)
             memberships += len(refs.ids)
             closed += len(assignment.closed)
             if not enqueue(item):
                 ctx.stopped = True
         self.assigned_memberships += memberships
         self.windows_closed += closed
-        # the queue only grows during batched ingress, so the depth
-        # after the last push is the batch's maximum
-        if self.queue.size > self.max_queue_depth:
-            self.max_queue_depth = self.queue.size
+        # the queue only grows during ingress, so the depth after the
+        # last push is the batch's maximum
+        depth = self.queue.size
+        if depth > self.max_queue_depth:
+            self.max_queue_depth = depth
 
     def flush(self) -> List[Window]:
         """Close every still-open window (end of stream)."""
@@ -289,11 +282,6 @@ class SheddingStage(Stage):
         self.operator: Optional[CEPOperator] = None
         self.queue: Optional[InputQueue] = None
 
-    def on_event(self, ctx: StageContext) -> bool:
-        if self.per_event and self.shedder is not None and self.operator is not None:
-            ctx.drops = self.operator.decide(ctx.item, shedder=self.shedder)
-        return True
-
     def process_batch(self, batch: "StageBatch") -> None:
         """Resolve every (event, window) pair of the batch in one pass.
 
@@ -306,13 +294,16 @@ class SheddingStage(Stage):
         if not (self.per_event and shedder is not None and self.operator is not None):
             return
         if not getattr(shedder, "active", True):
-            return  # operator.decide would return None per item
-        live = [ctx for ctx in batch.contexts if not ctx.stopped]
-        drops = self.operator.decide_batch(
-            [ctx.item for ctx in live], shedder=shedder
+            return  # nothing is dropped: ``ctx.drops`` stays None
+        contexts = batch.contexts
+        drops = iter(
+            self.operator.decide_batch(
+                [ctx.item for ctx in contexts if not ctx.stopped], shedder=shedder
+            )
         )
-        for ctx, item_drops in zip(live, drops):
-            ctx.drops = item_drops
+        for ctx in contexts:
+            if not ctx.stopped:
+                ctx.drops = next(drops)
 
     def on_tick(self, now: float) -> None:
         if self.detector is not None and self.queue is not None:
@@ -344,10 +335,6 @@ class MatchStage(Stage):
 
     def __init__(self, operator: CEPOperator) -> None:
         self.operator = operator
-
-    def on_event(self, ctx: StageContext) -> bool:
-        ctx.result = self.operator.apply(ctx.item, ctx.drops, now=ctx.now)
-        return True
 
     def process_batch(self, batch: "StageBatch") -> None:
         apply = self.operator.apply
@@ -388,12 +375,12 @@ class ParallelMatchStage(Stage):
     def __init__(self, parallel: WindowParallelOperator) -> None:
         self.parallel = parallel
 
-    def on_event(self, ctx: StageContext) -> bool:
-        complex_events: List[ComplexEvent] = []
-        for window in ctx.item.closed_windows:
-            complex_events.extend(self.parallel.process_window(window, now=ctx.now))
-        ctx.result = ProcessResult(complex_events=complex_events)
-        return True
+    def process_batch(self, batch: "StageBatch") -> None:
+        for ctx in batch.contexts:
+            if not ctx.stopped:
+                ctx.result = ProcessResult(
+                    self.flush(ctx.item.closed_windows, ctx.now)
+                )
 
     def flush(self, windows: List[Window], now: float) -> List[ComplexEvent]:
         complex_events: List[ComplexEvent] = []
@@ -436,11 +423,6 @@ class EmitStage(Stage):
 
     def subscribe(self, sink: EventSink) -> None:
         self.sinks.append(sink)
-
-    def on_event(self, ctx: StageContext) -> bool:
-        if ctx.result is not None and ctx.result.complex_events:
-            self.dispatch(ctx.result.complex_events)
-        return True
 
     def process_batch(self, batch: "StageBatch") -> None:
         dispatch = self.dispatch

@@ -2,7 +2,7 @@
 
 The figure runners return dataclasses with ad-hoc ``rows()`` renderers;
 this module provides structured exports so results can be committed
-(EXPERIMENTS.md style), diffed across runs, or loaded into other tools.
+as Markdown, diffed across runs, or loaded into other tools.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def metrics_table(snapshot, title: str = "Metrics") -> ResultTable:
 
     Counters and gauges get one row per labelled child; histograms are
     summarised to count/mean/p50/p95/p99 -- the same digest the JSON
-    snapshot carries, laid out for EXPERIMENTS.md-style commits.
+    snapshot carries, laid out for committing as Markdown.
     """
     table = ResultTable(
         title=title,

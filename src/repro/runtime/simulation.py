@@ -239,9 +239,10 @@ def simulate_pipeline(
     arrival_interval = 1.0 / config.input_rate
     arrival_index = 0
     now = 0.0
-    # arrivals can be ingested as micro-batches only when admission
-    # cannot veto by queue depth (rejections depend on interleaving)
-    batched_ingress = pipeline.config.queue_capacity is None
+    # a bounded queue admits by its depth between batches, so its
+    # arrivals are ingested one per batch (rejections depend on the
+    # interleaving of enqueue and drain)
+    bounded = pipeline.config.queue_capacity is not None
 
     def _arrival_time(index: int) -> float:
         if arrival_times is not None:
@@ -275,23 +276,17 @@ def simulate_pipeline(
             continue
 
         if next_arrival <= next_process:
-            if not batched_ingress:
-                event = stream[arrival_index]
-                for ci, chain in enumerate(chains):
-                    chain.ingest(event, now)
-                    max_queue[ci] = max(max_queue[ci], chain.queue.size)
-                arrival_index += 1
-                continue
             # a maximal run of arrivals nothing can interleave: under
             # overload the operator is busy (free_at ahead of the
             # arrival clock), so whole bursts of arrivals are due
             # before the next processing step or detector check --
-            # ingest them as one micro-batch instead of paying a full
+            # ingest them as one batch instead of paying a full
             # scheduler round-trip per event.  The processing bound is
             # a lower bound on the earliest possible start (head
             # enqueue times only grow during the run), so batching is
             # conservative: any event that *could* tie with processing
-            # still wins the tie, exactly like the per-event schedule.
+            # still wins the tie, exactly like a one-event-per-step
+            # schedule.
             bound = _INFINITY
             for ci, chain in enumerate(chains):
                 head = chain.queue.peek()
@@ -301,25 +296,18 @@ def simulate_pipeline(
                 )
                 if earliest < bound:
                     bound = earliest
-            run = EventBatch()
-            run.append(stream[arrival_index], next_arrival)
+            run = EventBatch([stream[arrival_index]], [next_arrival])
             arrival_index += 1
-            while arrival_index < n:
+            while arrival_index < n and not bounded:
                 t = _arrival_time(arrival_index)
                 if t > bound or t >= check_time:
                     break
                 run.append(stream[arrival_index], t)
                 arrival_index += 1
             now = run.nows[-1]
-            if len(run.events) == 1:
-                event = run.events[0]
-                for ci, chain in enumerate(chains):
-                    chain.ingest(event, now)
-                    max_queue[ci] = max(max_queue[ci], chain.queue.size)
-            else:
-                for ci, chain in enumerate(chains):
-                    chain.ingest_batch(run)
-                    max_queue[ci] = max(max_queue[ci], chain.queue.size)
+            for ci, chain in enumerate(chains):
+                chain.ingest_batch(run)
+                max_queue[ci] = max(max_queue[ci], chain.queue.size)
             continue
 
         # the chain's operator picks its head item

@@ -41,9 +41,9 @@ def _fixtures(prefix: str) -> list:
 
 
 def test_corpus_covers_every_rule():
-    """Each of the 8 rules has at least one bad and one good fixture."""
+    """Each rule has at least one bad and one good fixture."""
     codes = set(rules_by_code())
-    assert codes == {f"R00{i}" for i in range(1, 9)}
+    assert codes == {f"R00{i}" for i in (1, 2, 3, 4, 5, 6, 8)}  # R007 retired
     for code in sorted(codes):
         rule_dir = FIXTURES / code
         assert list(rule_dir.glob("bad_*.py")), f"{code} has no bad fixture"

@@ -15,9 +15,9 @@ from repro.cep.patterns import seq, spec
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows, Window
 from repro.cluster.worker import CheckpointWriter, ShardChain
-from repro.core.espice import ESpice, ESpiceConfig
 from repro.core.persistence import read_json_checkpoint
 from repro.core.shedder import ESpiceShedder
+from repro.pipeline import Pipeline
 from repro.shedding.base import DropCommand
 
 
@@ -34,7 +34,8 @@ def trained_shedder():
     builder = StreamBuilder(rate=10.0)
     for _ in range(25):
         builder.emit_many(["A", "B", "X", "X"])
-    model = ESpice(query, ESpiceConfig(bin_size=1)).train(builder.stream)
+    pipeline = Pipeline.builder().query(query).shedder("espice").bin_size(1).build()
+    model = pipeline.train(builder.stream).model
     return ESpiceShedder(model)
 
 

@@ -8,7 +8,6 @@ from repro.cep.events import StreamBuilder
 from repro.cep.patterns import seq, spec
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows
-from repro.core.espice import ESpice, ESpiceConfig
 from repro.core.persistence import (
     load_model,
     model_from_dict,
@@ -16,6 +15,7 @@ from repro.core.persistence import (
     save_model,
 )
 from repro.core.shedder import ESpiceShedder
+from repro.pipeline import Pipeline
 from repro.shedding.base import DropCommand
 
 
@@ -28,8 +28,10 @@ def trained_model(bin_size=1):
     builder = StreamBuilder(rate=10.0)
     for _ in range(25):
         builder.emit_many(["A", "B", "X", "X"])
-    espice = ESpice(query, ESpiceConfig(bin_size=bin_size))
-    return espice.train(builder.stream)
+    pipeline = (
+        Pipeline.builder().query(query).shedder("espice").bin_size(bin_size).build()
+    )
+    return pipeline.train(builder.stream).model
 
 
 class TestRoundtrip:

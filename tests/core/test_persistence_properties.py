@@ -20,7 +20,6 @@ from repro.cep.patterns import seq, spec
 from repro.cep.patterns.incremental import IncrementalWindowMatcher
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows, Window
-from repro.core.espice import ESpice, ESpiceConfig
 from repro.core.persistence import (
     STATE_FORMAT_VERSION,
     apply_matcher_state,
@@ -37,6 +36,7 @@ from repro.core.persistence import (
     write_json_atomic,
 )
 from repro.core.shedder import ESpiceShedder
+from repro.pipeline import Pipeline
 from repro.shedding.base import DropCommand
 
 # ----------------------------------------------------------------------
@@ -89,8 +89,10 @@ def trained_model(bin_size=1):
     builder = StreamBuilder(rate=10.0)
     for _ in range(25):
         builder.emit_many(["A", "B", "X", "X"])
-    espice = ESpice(query, ESpiceConfig(bin_size=bin_size))
-    return espice.train(builder.stream)
+    pipeline = (
+        Pipeline.builder().query(query).shedder("espice").bin_size(bin_size).build()
+    )
+    return pipeline.train(builder.stream).model
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ from repro.cep.events import Event, EventStream, StreamBuilder
 from repro.cep.patterns import seq, spec
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows
-from repro.core.espice import ESpice, ESpiceConfig
 from repro.core.overload import OverloadDetector
+from repro.pipeline import Pipeline
 from repro.runtime.simulation import (
     SimulationConfig,
     measure_mean_memberships,
@@ -35,12 +35,16 @@ def training_stream(repetitions=100):
     return builder.stream
 
 
+def trained_pipeline():
+    """A toy eSPICE pipeline trained on the toy stream (model + shedders)."""
+    pipeline = Pipeline.builder().query(toy_query()).shedder("espice").build()
+    return pipeline.train(training_stream())
+
+
 class TestUnknownInputs:
     def test_unknown_event_types_at_shed_time(self):
         """Types never seen in training are shed first, never crash."""
-        espice = ESpice(toy_query())
-        espice.train(training_stream())
-        shedder = espice.build_shedder()
+        shedder = trained_pipeline().create_shedder()
         from repro.shedding.base import DropCommand
 
         shedder.on_drop_command(DropCommand(x=2.0, partition_count=1, partition_size=10.0))
@@ -49,9 +53,7 @@ class TestUnknownInputs:
         assert shedder.should_drop(alien, 3, 10.0) is True  # utility 0
 
     def test_position_far_beyond_reference(self):
-        espice = ESpice(toy_query())
-        espice.train(training_stream())
-        shedder = espice.build_shedder()
+        shedder = trained_pipeline().create_shedder()
         from repro.shedding.base import DropCommand
 
         shedder.on_drop_command(DropCommand(x=2.0, partition_count=2, partition_size=5.0))
@@ -61,17 +63,17 @@ class TestUnknownInputs:
             shedder.should_drop(Event("A", 0, 0.0), position, 500.0)
 
     def test_empty_training_stream_rejected(self):
-        espice = ESpice(toy_query())
+        pipeline = Pipeline.builder().query(toy_query()).shedder("espice").build()
         with pytest.raises(ValueError):
-            espice.train(EventStream())
+            pipeline.train(EventStream())
 
 
 class TestBurstyArrivals:
     def test_short_burst_is_absorbed_without_shedding(self):
         """A burst shorter than the f*qmax headroom must not shed."""
-        espice = ESpice(toy_query(), ESpiceConfig(latency_bound=1.0, f=0.8))
-        model = espice.train(training_stream())
-        shedder = espice.build_shedder()
+        pipeline = trained_pipeline()
+        model = pipeline.model
+        shedder = pipeline.create_shedder()
         detector = OverloadDetector(
             latency_bound=1.0,
             f=0.8,
@@ -100,9 +102,9 @@ class TestBurstyArrivals:
         assert result.latency.stats().violations == 0
 
     def test_sustained_overload_triggers_shedding(self):
-        espice = ESpice(toy_query(), ESpiceConfig(latency_bound=0.1, f=0.8))
-        model = espice.train(training_stream())
-        shedder = espice.build_shedder()
+        pipeline = trained_pipeline()
+        model = pipeline.model
+        shedder = pipeline.create_shedder()
         detector = OverloadDetector(
             latency_bound=0.1,
             f=0.8,
@@ -133,9 +135,9 @@ class TestBurstyArrivals:
 class TestMeasuredEstimators:
     def test_detector_with_measured_rates_still_sheds(self):
         """No pinned l(p)/R: estimators learn from the run itself."""
-        espice = ESpice(toy_query(), ESpiceConfig(latency_bound=0.1, f=0.8))
-        model = espice.train(training_stream())
-        shedder = espice.build_shedder()
+        pipeline = trained_pipeline()
+        model = pipeline.model
+        shedder = pipeline.create_shedder()
         detector = OverloadDetector(
             latency_bound=0.1,
             f=0.8,

@@ -83,15 +83,43 @@ class TestSequential:
                 assert explanation["utility"] <= explanation["threshold"]
                 assert explanation["partition_count"] is not None
 
+    def test_simulate_observes_every_window_an_item_completes(self, soccer):
+        """The queue decouples a batch's ingress from its egress under
+        ``simulate``: the egress must find closed windows on its own."""
+        train, live = soccer
+        baseline = overloaded_keys(build_deployed(train), live)
+
+        pipeline = build_deployed(train)
+        obs = pipeline.enable_observability(trace_capacity=4096)
+        assert overloaded_keys(pipeline, live) == baseline
+
+        # the oracle: what the raw stream closes, item by item
+        results = pipeline.chains[0].query.new_assigner().on_events(live)
+        closing_items = sum(1 for result in results if result.closed)
+        closed_windows = sum(len(result.closed) for result in results)
+        assert closed_windows > 10
+
+        snapshot = obs.registry.snapshot()
+
+        def observations(family):
+            return sum(s["count"] for s in snapshot[family]["samples"])
+
+        assert observations("repro_window_size") == closed_windows
+        assert observations("repro_queue_wait_seconds") == closing_items
+
     def test_disable_restores_plain_dispatch(self, soccer):
         train, _live = soccer
         pipeline = build_deployed(train)
         chain = pipeline.chains[0]
-        plain = chain._ingress_dispatch
         pipeline.enable_observability()
-        assert chain._ingress_dispatch != plain
+        assert len(chain._ingress_batch_dispatch) == 1  # the composite
         pipeline.disable_observability()
-        assert chain._ingress_dispatch == plain
+        assert chain._ingress_batch_dispatch == tuple(
+            stage.process_batch for stage in chain.ingress
+        )
+        assert chain._egress_batch_dispatch == tuple(
+            stage.process_batch for stage in chain.egress
+        )
         assert pipeline.observability is None
 
 

@@ -153,16 +153,25 @@ class TestFluentConstruction:
 
 
 class TestDeprecatedFacadeParity:
-    """The ESpice shim and the builder produce equivalent components."""
+    """The builder wires what hand-assembled components would be."""
 
     def test_same_model_and_detector_wiring(self):
-        from repro.core.espice import ESpice, ESpiceConfig
+        from repro.cep.operator.operator import CEPOperator
+        from repro.core.model import ModelBuilder
+        from repro.core.overload import OverloadDetector
+        from repro.shedding.registry import create_shedder
 
         stream = toy_stream()
-        espice = ESpice(toy_query(), ESpiceConfig(latency_bound=1.0, f=0.8))
-        old_model = espice.train(stream)
-        old_detector = espice.build_detector(
-            espice.build_shedder(),
+        model_builder = ModelBuilder()
+        trainer = CEPOperator(toy_query())
+        trainer.add_window_listener(model_builder.observe)
+        trainer.detect_all(stream)
+        old_model = model_builder.build()
+        old_detector = OverloadDetector(
+            latency_bound=1.0,
+            f=0.8,
+            reference_size=old_model.reference_size,
+            shedder=create_shedder("espice", model=old_model),
             fixed_processing_latency=0.001,
             fixed_input_rate=1200.0,
         )

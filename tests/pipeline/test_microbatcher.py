@@ -116,9 +116,15 @@ class TestPipelineFlushEdgeCases:
         assert all(not v for v in pipeline.flush_pending().values())
         assert all(not v for v in pipeline.flush_pending().values())  # twice
 
-    def test_flush_pending_without_batcher_is_noop(self):
-        pipeline = build_pipeline(batch_size=1)  # per-event path, no batcher
-        assert pipeline._feed_batcher is None
+    def test_flush_pending_without_batcher_is_noop(self, live):
+        # batch size one: every feed flushes, so nothing is ever buffered
+        pipeline = build_pipeline(batch_size=1)
+        assert all(not v for v in pipeline.flush_pending().values())
+        for event in live[:50]:
+            pipeline.feed(event)
+            assert len(pipeline._feed_batcher) == 0
+        fed = pipeline.metrics()[pipeline.chains[0].query.name]["admission"]
+        assert fed["arrivals"] == 50
         assert all(not v for v in pipeline.flush_pending().values())
 
     def test_finish_on_fresh_pipeline_is_empty(self):

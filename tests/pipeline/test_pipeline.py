@@ -7,7 +7,7 @@ from repro.cep.operator.operator import CEPOperator
 from repro.cep.patterns import seq, spec
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows
-from repro.core.espice import ESpice, ESpiceConfig
+from repro.core.overload import OverloadDetector
 from repro.pipeline import Pipeline
 from repro.queries import build_q1
 from repro.datasets import SoccerStreamConfig, generate_soccer_stream, split_stream
@@ -101,17 +101,22 @@ class TestMultiQueryFanOut:
 
 
 class TestSimulationEquivalence:
-    """pipeline.simulate == the historical hand-wired simulate."""
+    """pipeline.simulate == the hand-wired simulate() wrapper."""
 
     def test_espice_equivalence(self):
         query, train, live = soccer_setup()
 
-        # old wiring through the deprecated facade
-        espice = ESpice(query, ESpiceConfig(latency_bound=1.0, f=0.8, bin_size=8))
-        model = espice.train(train)
-        shedder = espice.build_shedder()
-        detector = espice.build_detector(
-            shedder,
+        # hand wiring: loose shedder + detector into the simulate() wrapper
+        trainer = (
+            Pipeline.builder().query(query).shedder("espice").bin_size(8).build()
+        )
+        model = trainer.train(train).model
+        shedder = trainer.create_shedder()
+        detector = OverloadDetector(
+            latency_bound=1.0,
+            f=0.8,
+            reference_size=model.reference_size,
+            shedder=shedder,
             fixed_processing_latency=1.0 / 1000.0,
             fixed_input_rate=1400.0,
         )

@@ -102,6 +102,70 @@ class TestCustomStages:
             RateLimitStage(events_per_second=0.0)
 
 
+class TestOnEventOnlyStages:
+    """Stages that implement only ``on_event`` ride the base adapter:
+    a veto means the same thing at every batch size and under the
+    virtual-time driver (whose egress batches hold one item)."""
+
+    @staticmethod
+    def _build(batch_size=1):
+        ingress = SamplingStage(keep_probability=0.6, seed=3)
+        egress = SamplingStage(keep_probability=0.5, seed=4)
+        after = LoggingStage(name="after_egress_veto")
+        pipeline = (
+            Pipeline.builder()
+            .query(toy_query())
+            .batch(batch_size)
+            .stage(ingress)
+            .stage(egress, where="egress")
+            .stage(after, where="egress")
+            .build()
+        )
+        return pipeline, (ingress, egress, after)
+
+    @staticmethod
+    def _counters(pipeline, stages):
+        ingress, egress, after = stages
+        chain = pipeline.chains[0]
+        return {
+            "ingress": (ingress.kept, ingress.dropped),
+            "egress": (egress.kept, egress.dropped),
+            "after": (after.seen, dict(after.by_type)),
+            "arrivals": chain.admission.arrivals,
+            "memberships": chain.window_assign.assigned_memberships,
+            "processed": chain.operator.stats.events_processed,
+            "emitted": chain.emit.emitted,
+        }
+
+    def _reference(self):
+        pipeline, stages = self._build()
+        keys = [c.key for c in pipeline.run(toy_stream(50)).complex_events]
+        counters = self._counters(pipeline, stages)
+        ingress_kept, _ = counters["ingress"]
+        egress_kept, egress_dropped = counters["egress"]
+        # both vetoes bite, each where it stands
+        assert 0 < ingress_kept < 200 and counters["processed"] == ingress_kept
+        assert egress_dropped > 0 and egress_kept + egress_dropped == ingress_kept
+        assert counters["after"][0] == egress_kept
+        assert keys
+        return keys, counters
+
+    @pytest.mark.parametrize("batch_size", [7, 64])
+    def test_vetoes_identical_at_every_batch_size(self, batch_size):
+        keys, counters = self._reference()
+        pipeline, stages = self._build(batch_size)
+        result = pipeline.run(toy_stream(50))
+        assert [c.key for c in result.complex_events] == keys
+        assert self._counters(pipeline, stages) == counters
+
+    def test_vetoes_identical_under_simulate(self):
+        keys, counters = self._reference()
+        pipeline, stages = self._build()
+        result = pipeline.simulate(toy_stream(50), input_rate=140.0, throughput=100.0)
+        assert [c.key for c in result.complex_events] == keys
+        assert self._counters(pipeline, stages) == counters
+
+
 class TestBackpressure:
     def test_bounded_queue_rejects_at_admission(self):
         pipeline = Pipeline.builder().query(toy_query()).queue_capacity(5).build()

@@ -1,5 +1,8 @@
 """Unit tests for the virtual-time simulation (repro.runtime.simulation)."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.cep.events import StreamBuilder
@@ -7,10 +10,12 @@ from repro.cep.patterns import seq, spec
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows
 from repro.core.overload import OverloadDetector
+from repro.pipeline import Pipeline
 from repro.runtime.simulation import (
     SimulationConfig,
     measure_mean_memberships,
     simulate,
+    simulate_pipeline,
 )
 from repro.shedding.base import LoadShedder
 from repro.shedding.random_shedder import RandomShedder
@@ -120,6 +125,52 @@ class TestWithShedding:
         result = self._run(rate=1300.0)
         # needs >= 23% membership drop to keep up; duty-cycling may add some
         assert 0.15 < result.operator_stats.drop_ratio() < 0.6
+
+
+class TestBoundedQueue:
+    def test_bounded_queue_at_r2_is_pinned(self):
+        """R = 1.4 th into a 90-item queue: admission rejects by depth
+        while the shedder (trigger at 80) drops memberships.  A bounded
+        chain is driven one arrival per batch; the numbers are those of
+        the per-event driver this replaced (commit ace9aca)."""
+        query = toy_query(window=10, slide=2)
+        stream = toy_stream(3000)
+        pipeline = (
+            Pipeline.builder()
+            .query(query)
+            .shedder("random", seed=5)
+            .latency_bound(0.1)
+            .check_interval(0.01)
+            .reference_size(10)
+            .queue_capacity(90)
+            .build()
+            .deploy(expected_throughput=1000.0, expected_input_rate=1400.0)
+        )
+        config = SimulationConfig(
+            input_rate=1400.0,
+            throughput=1000.0,
+            latency_bound=0.1,
+            check_interval=0.01,
+            mean_memberships=measure_mean_memberships(query, stream),
+        )
+        result = simulate_pipeline(pipeline, stream, config)["toy"]
+        chain = pipeline.chains[0]
+        assert chain.admission.rejected == 57
+        assert chain.window_assign.rejected == 0
+        assert result.max_queue_size == 90
+        keys = [c.key for c in result.complex_events]
+        assert len(keys) == 1356
+        assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] == (
+            "7cf939a94471cbf3"
+        )
+        assert dataclasses.asdict(result.operator_stats) == {
+            "events_processed": 2943,
+            "memberships_kept": 10935,
+            "memberships_dropped": 3760,
+            "windows_completed": 1472,
+            "complex_events": 1356,
+        }
+        assert (chain.shedder.decisions, chain.shedder.drops) == (13210, 3760)
 
 
 class TestConfigValidation:
