@@ -118,6 +118,11 @@ class Event:
         """Return attribute ``key`` or ``default``."""
         return self.attrs.get(key, default)
 
+    def __reduce__(self):
+        # (cls, fields): the frozen+slots dataclass default goes through
+        # copyreg plus a state dict per object -- 4x dearer on the IPC hop
+        return (Event, (self.event_type, self.seq, self.timestamp, self.attrs))
+
     def __lt__(self, other: "Event") -> bool:
         return (self.seq, self.timestamp) < (other.seq, other.timestamp)
 
@@ -152,6 +157,13 @@ class ComplexEvent:
 
     def __len__(self) -> int:
         return len(self.events)
+
+    def __reduce__(self):
+        # see Event.__reduce__
+        return (
+            ComplexEvent,
+            (self.pattern_name, self.window_id, self.events, self.detection_time),
+        )
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(e) for e in self.events)

@@ -143,7 +143,9 @@ class Window:
     the ``P`` used by the utility table.  ``truncated`` marks windows
     force-closed at end of stream (or by the open-window cap): they are
     still matched, but model training skips them so partial windows do
-    not skew the reference window size.
+    not skew the reference window size.  ``start`` is the arrival
+    ordinal of ``events[0]`` in the assigner's log (see the span
+    model): the window is arrivals ``[start, start + size)``.
     """
 
     window_id: int
@@ -151,6 +153,7 @@ class Window:
     open_time: float = 0.0
     close_time: float = 0.0
     truncated: bool = False
+    start: int = 0
 
     @property
     def size(self) -> int:
@@ -162,6 +165,21 @@ class Window:
 
     def __repr__(self) -> str:
         return f"Window(id={self.window_id}, size={self.size})"
+
+
+def trim_log(log: List[Event], base: int, keep_from: int) -> int:
+    """Cut the dead prefix of an arrival log; returns the new base.
+
+    ``log[i]`` is arrival ``base + i`` and nothing below ``keep_from``
+    can be reached any more.  The prefix is cut once it is at least
+    half the log, which keeps the cost amortised O(1) per event and
+    the log within twice the longest open span.
+    """
+    dead = min(keep_from - base, len(log))
+    if dead > 0 and 2 * dead >= len(log):
+        del log[:dead]
+        return base + dead
+    return base
 
 
 # repro-lint: disable=R006 one assigner per query chain, not per event
@@ -207,6 +225,7 @@ class WindowAssigner:
             open_time,
             close_time,
             truncated,
+            start,
         )
 
     def _close_expired(self, now: float, end: int, close_time: float) -> List[Window]:
@@ -230,23 +249,21 @@ class WindowAssigner:
         return closed
 
     def _trim(self) -> None:
-        """Drop log entries no open window can still reach.
+        """Drop log entries no open window can still reach (after closes)."""
+        self._base = trim_log(self._log, self._base, self.oldest_open_start)
 
-        Called after closes.  With nothing open the whole log is dead;
-        otherwise the dead prefix ends at the oldest window's start
-        (starts never decrease in id order) and is cut once it is at
-        least half the log, which keeps the cost amortised O(1) per
-        event and the log within twice the longest open span.
+    @property
+    def oldest_open_start(self) -> int:
+        """Arrival ordinal below which no open or future window reaches.
+
+        The oldest open window's start (starts never decrease in id
+        order); with nothing open, the next arrival's ordinal -- the
+        whole log is dead.  Whoever mirrors the log (the cluster's
+        shard workers) trims by this bound, like :meth:`_trim`.
         """
-        log = self._log
-        if not self._open:
-            self._base += len(log)
-            log.clear()
-            return
-        dead = min(next(iter(self._open.values()))[0] - self._base, len(log))
-        if dead > 0 and 2 * dead >= len(log):
-            del log[:dead]
-            self._base += dead
+        if self._open:
+            return next(iter(self._open.values()))[0]
+        return self._base + len(self._log)
 
     def _join(self, event: Event, index: int) -> Memberships:
         """Log arrival ``index`` and return its memberships in the open set.
@@ -272,7 +289,7 @@ class WindowAssigner:
         log = self._log
         base = self._base
         return [
-            Window(window_id, log[start - base :], open_time)
+            Window(window_id, log[start - base :], open_time, start=start)
             for window_id, (start, open_time, _expiry) in self._open.items()
         ]
 

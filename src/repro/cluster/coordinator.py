@@ -323,6 +323,8 @@ class ClusterCoordinator:
         status.utilization = metrics["utilization"]
         status.batches_received = metrics["batches_received"]
         status.messages_received = metrics["messages_received"]
+        # repeats the worker's link dropped since its last sync
+        self.duplicates_ignored += metrics.get("repeats_dropped", 0)
         if "checkpoints" in metrics:
             status.checkpoints = metrics["checkpoints"]
             status.checkpoint_bytes = metrics["checkpoint_bytes"]

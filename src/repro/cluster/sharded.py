@@ -5,9 +5,10 @@ into the three roles of a window-parallel CEP deployment (paper §5,
 RIP/SPECTRE shape):
 
 - the **router** (parent process) runs every chain's ingress half --
-  admission, custom middleware, window assignment -- and ships each
-  *complete window* to a shard chosen by the routing policy, batched
-  over the IPC queues;
+  admission, custom middleware, window assignment -- and routes each
+  *complete window* to a shard chosen by the routing policy; what
+  travels is the arrival-log segment that shard has not seen yet plus
+  window spans (:class:`~repro.cluster.transport.SpanLink`);
 - **N shard workers** (forked processes) run the egress half -- the
   shedding decision per (event, position) and the pattern matcher --
   over their share of windows;
@@ -17,8 +18,9 @@ RIP/SPECTRE shape):
   order.
 
 State ownership is strict: workers hold only replaceable copies
-(matcher, shedder); the model, the window-size predictor, the overload
-detector and all routing/merge state live in the parent.  Workers are
+(matcher, shedder, a replica of the arrival log); the model, the
+window-size predictor, the overload detector, every link's high-water
+mark and all routing/merge state live in the parent.  Workers are
 forked *after* ``train()``/``deploy()``, so they inherit exactly the
 configured shedder; later changes reach them only through coordinator
 broadcasts -- which is what makes detections independent of the shard
@@ -53,8 +55,8 @@ from repro.cluster.coordinator import ClusterCoordinator, ClusterSnapshot
 from repro.cluster.elastic import Autoscaler
 from repro.cluster.routing import Router, create_router
 from repro.cluster.transport import (
-    BatchingSender,
     FailureDetector,
+    SpanLink,
     drain,
     drain_for,
 )
@@ -197,14 +199,14 @@ class ShardedPipeline:
         self.started = False
         self._ctx = multiprocessing.get_context("fork")
         self._workers: List[multiprocessing.Process] = []
-        self._senders: List[BatchingSender] = []
+        self._senders: List[SpanLink] = []
         self._in_queues: list = []
         self._out_queues: list = []
         self._chain_states: List[_ChainState] = []
         #: (chain, dispatch index) -> (shard, cost, replay entry); the
-        #: entry -- the (index, window, predicted_ws) wire tuple -- is
-        #: retained only in fault-tolerant mode, where it is the replay
-        #: buffer for windows a dead worker never acked
+        #: entry -- (index, window, predicted_ws), what a link ships --
+        #: is retained only in fault-tolerant mode, where it is the
+        #: replay buffer for windows a dead worker never acked
         self._in_flight: Dict[Tuple[str, int], Tuple[int, int, Optional[tuple]]] = {}
         self._sync_seen: set = set()
         self._detector_shedding: Dict[str, bool] = {}
@@ -374,9 +376,8 @@ class ShardedPipeline:
             name=f"repro-shard-{shard_id}",
         )
         process.start()
-        sender = BatchingSender(
-            in_queue, batch_size=self.batch_size, linger=self.linger
-        )
+        # a fresh worker holds no log replica: it gets a fresh link
+        sender = SpanLink(in_queue, self.batch_size, self.linger)
         if shard_id == len(self._workers):
             self._workers.append(process)
             self._in_queues.append(in_queue)
@@ -526,7 +527,10 @@ class ShardedPipeline:
                     per_shard.setdefault(shard, []).append(entry)
             self._ship(state, per_shard)
         coordinator.events_ingested += len(batch.events)
-        self._drain_results()
+        if self._in_flight:
+            # nothing owed, nothing to poll for (heartbeats can wait: a
+            # shard is only suspected while it owes results)
+            self._drain_results()
         if self.fault_tolerant:
             self._check_health()
         self._check_overload(live=live)
@@ -624,14 +628,14 @@ class ShardedPipeline:
         return report
 
     def _stamp(self, state: _ChainState, window) -> Tuple[int, tuple]:
-        """Route + stamp one window; returns its shard and wire entry."""
+        """Route + stamp one window; returns its shard and link entry."""
         predicted = state.predict(window)
         shard = self.router.route(window, state.name)
         cost = window.size
         self.router.on_dispatch(shard, cost)
         index = self.coordinator.stamp_dispatch(state.name, shard, cost)
         entry = (index, window, predicted)
-        # fault tolerance keeps the wire entry until the result merges:
+        # fault tolerance keeps the link entry until the result merges:
         # it is the replay buffer for a dead worker's unacked windows
         self._in_flight[(state.name, index)] = (
             shard,
@@ -646,15 +650,11 @@ class ShardedPipeline:
         return shard, entry
 
     def _ship(self, state: _ChainState, per_shard: Dict[int, List[tuple]]) -> None:
-        """Send each shard its share of a batch as one ``winbatch``."""
+        """Send each shard its share of a batch as one ``winbatch``: the
+        log segment above its link's high-water mark plus window spans."""
+        keep_from = state.chain.window_assign.assigner.oldest_open_start
         for shard, entries in per_shard.items():
-            self._senders[shard].send_now(("winbatch", state.name, entries))
-
-    def _dispatch(self, state: _ChainState, window) -> None:
-        """Ship one window on its own (kept for targeted tests/tools)."""
-        shard, entry = self._stamp(state, window)
-        index, window, predicted = entry
-        self._senders[shard].send(("win", state.name, index, window, predicted))
+            self._senders[shard].ship(state.name, entries, keep_from)
 
     def _drain_results(self, block_timeout: Optional[float] = None) -> None:
         if block_timeout is not None:
@@ -686,17 +686,6 @@ class ShardedPipeline:
                     self.router.on_complete(shard, cost)
                     state.pending_events -= cost
                     coordinator.on_result(chain_name, shard, index, cost, events)
-            elif tag == "res":
-                _tag, shard, chain_name, index, events = message
-                self._failure_detector.observe(shard)
-                info = self._in_flight.pop((chain_name, index), None)
-                if info is None:
-                    coordinator.duplicates_ignored += 1
-                    continue
-                _shard, cost, _entry = info
-                self.router.on_complete(shard, cost)
-                self._chain_state(chain_name).pending_events -= cost
-                coordinator.on_result(chain_name, shard, index, cost, events)
             elif tag == "sync":
                 _tag, shard, token, metrics = message
                 self._failure_detector.observe(shard)
@@ -805,13 +794,14 @@ class ShardedPipeline:
         2. discard both of its queues (a kill -9 mid-``put`` can leave
            them corrupt; they are private to this shard, so nothing
            else is lost);
-        3. respawn at the same shard id -- the fresh fork restores the
-           shard checkpoint at boot (when checkpointing is on) and the
-           parent re-sends broadcast-only state (drop commands);
+        3. respawn at the same shard id, on a fresh link -- the fork
+           restores the shard checkpoint at boot (when checkpointing is
+           on); the parent re-sends broadcast-only state (drop commands);
         4. replay the windows still in flight to this shard, in
-           dispatch order, from the coordinator's replay buffer; the
-           merge buffer's duplicate guard makes a salvaged-and-replayed
-           result merge exactly once;
+           dispatch order, from the coordinator's replay buffer (one
+           self-contained rebase message per chain, overlapping windows
+           sharing their events); the merge buffer's duplicate guard
+           makes a salvaged-and-replayed result merge exactly once;
         5. re-send the in-progress sync token, if the death happened
            inside a barrier.
         """
@@ -839,15 +829,15 @@ class ShardedPipeline:
         ):
             if shard == shard_id and entry is not None:
                 replay.setdefault(chain_name, []).append(entry)
-        sender = self._senders[shard_id]
-        replayed = 0
         for chain_name, entries in replay.items():
-            sender.send_now(("winbatch", chain_name, entries))
-            replayed += len(entries)
+            self._ship(self._chain_state(chain_name), {shard_id: entries})
         if resync_token is not None:
+            sender = self._senders[shard_id]
             sender.send(("sync", resync_token))
             sender.flush()
-        self.coordinator.record_restart(shard_id, replayed)
+        self.coordinator.record_restart(
+            shard_id, sum(map(len, replay.values()))
+        )
 
     def ping(self) -> ClusterSnapshot:
         """Round-trip a sync barrier and return a fresh snapshot."""
@@ -1318,6 +1308,7 @@ class ShardedPipeline:
             "linger": self.linger,
             "batches": sum(s.batches_sent for s in self._senders),
             "messages": sum(s.messages_sent for s in self._senders),
+            "events_shipped": sum(s.events_shipped for s in self._senders),
             "avg_batch": round(
                 sum(s.messages_sent for s in self._senders)
                 / max(1, sum(s.batches_sent for s in self._senders)),

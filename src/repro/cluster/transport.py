@@ -12,13 +12,43 @@ size-or-time rule of batched messaging systems).
 purely by size (plus the explicit :meth:`flush` barriers the sharded
 pipeline inserts at sync points), which keeps replay runs
 deterministic.
+
+The span link
+-------------
+A closed window is arrivals ``[start, stop)`` of its assigner's log
+and overlapping windows share most of their events, so windows do not
+cross the coordinator->worker hop: the log does, once per shard.
+:class:`SpanLink` (coordinator end) remembers which stretch of each
+chain's log its worker holds and sends only the events above it;
+:class:`SpanReceiver` (worker end) keeps that replica, rebuilds each
+:class:`~repro.cep.windows.Window` by one slice and trims what no open
+window can reach.  One data message::
+
+    ("winbatch", seq, chain, seg_lo, packed_segment, keep_from,
+     [(dispatch_idx, window_id, start, stop, open_time, close_time,
+       truncated, predicted_ws), ...])
+
+``packed_segment`` is :func:`pack` of arrivals ``[seg_lo, seg_lo + n)``.
+Where ``seg_lo`` is the replica's end the segment extends it; anywhere
+else it *rebases* the replica (new link, a gap of events routed
+elsewhere, a span reaching below what the replica keeps) and the
+message is self-contained.  ``keep_from`` is the assigner's
+:attr:`~repro.cep.windows.WindowAssigner.oldest_open_start`; the
+replica is trimmed by it once the message's windows are rebuilt.  A
+message depends on its predecessors, so the link is ordered and
+exactly-once: the receiver applies messages in ``seq`` order, holds an
+early one until its predecessor arrives, drops and counts a repeat.
 """
 
 from __future__ import annotations
 
 import queue as queue_module
 import time
-from typing import Callable, Iterator, List
+from itertools import chain as chain_iterables
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+
+from repro.cep.events import Event
+from repro.cep.windows import Window, trim_log
 
 
 class BatchingSender:
@@ -118,6 +148,132 @@ class BatchingSender:
             "max_batch": self.max_batch,
             "buffered": len(self._buffer),
         }
+
+
+def pack(events: Sequence[Event]) -> tuple:
+    """``events`` as parallel columns: one pickle op per field, not per event.
+
+    ``(types, seqs, timestamps, keys, values)``: when every event's
+    attrs have the same (non-empty) keys in the same order -- one
+    schema per stream is the rule -- ``keys`` is that tuple and
+    ``values`` the attr values of all events, flat; otherwise ``keys``
+    is ``None`` and ``values`` the attrs dicts themselves.  Plain lists,
+    so pickling keeps every value's exact type.
+    """
+    types = [event.event_type for event in events]
+    seqs = [event.seq for event in events]
+    timestamps = [event.timestamp for event in events]
+    attrs = [event.attrs for event in events]
+    keys = tuple(attrs[0]) if attrs else None
+    if keys and all(map(keys.__eq__, map(tuple, attrs))):
+        values = list(chain_iterables.from_iterable(map(dict.values, attrs)))
+        return types, seqs, timestamps, keys, values
+    return types, seqs, timestamps, None, attrs
+
+
+def unpack(packed: tuple) -> List[Event]:
+    """The events :func:`pack` was given (equal field by field)."""
+    types, seqs, timestamps, keys, values = packed
+    if keys is not None:
+        rows = zip(*[iter(values)] * len(keys))
+        values = [dict(zip(keys, row)) for row in rows]
+    return list(map(Event, types, seqs, timestamps, values))
+
+
+class SpanLink(BatchingSender):
+    """Coordinator end of the ordered link to one shard worker.
+
+    A :class:`BatchingSender` that also numbers its data messages and
+    remembers, per chain, the stretch ``[lo, hi)`` of the arrival log
+    the worker is known to still hold.
+    """
+
+    __slots__ = ("_seq", "_held", "events_shipped")
+
+    def __init__(self, queue, batch_size: int = 32, linger: float = 0.0) -> None:
+        super().__init__(queue, batch_size, linger)
+        self._seq = 0
+        self._held: Dict[str, Tuple[int, int]] = {}
+        self.events_shipped = 0
+
+    def ship(self, chain: str, entries: Sequence[tuple], keep_from: int) -> None:
+        """Send ``[(dispatch_idx, window, predicted_ws), ...]`` of ``chain``:
+        one message -- the events above the high-water mark, the spans --
+        plus one per window the replica cannot be extended to cover."""
+        lo, hi = self._held.get(chain, (0, 0))
+        seg_lo, segment, spans = hi, [], []
+        for dispatch_idx, window, predicted in entries:
+            events = window.events
+            start = window.start
+            stop = start + len(events)
+            if events:  # an empty window needs nothing from the log
+                if not lo <= start <= hi:
+                    if spans:
+                        self._send(chain, seg_lo, segment, keep_from, spans)
+                        segment, spans = [], []
+                    lo = hi = seg_lo = start
+                if stop > hi:
+                    segment += events[hi - start :]
+                    hi = stop
+            times = (window.open_time, window.close_time, window.truncated)
+            span = (dispatch_idx, window.window_id, start, stop, *times, predicted)
+            spans.append(span)
+        self._send(chain, seg_lo, segment, keep_from, spans)
+        # the worker trims below keep_from after rebuilding the windows
+        self._held[chain] = (max(lo, keep_from), hi)
+
+    def _send(self, chain, seg_lo, segment, keep_from, spans) -> None:
+        self.events_shipped += len(segment)
+        self.send_now(
+            ("winbatch", self._seq, chain, seg_lo, pack(segment), keep_from, spans)
+        )
+        self._seq += 1
+
+
+class SpanReceiver:
+    """Worker end of a :class:`SpanLink`: log replicas, in-order delivery."""
+
+    __slots__ = ("_next", "early", "logs", "repeats")
+
+    def __init__(self) -> None:
+        self._next = 0
+        #: seq -> message held back until its predecessor arrives
+        self.early: Dict[int, tuple] = {}
+        #: chain -> [base, log]: ``log[i]`` is arrival ``base + i``
+        self.logs: Dict[str, list] = {}
+        self.repeats = 0
+
+    def receive(self, message: tuple) -> List[Tuple[str, List[tuple]]]:
+        """Take one data message; return what is now due, in ``seq`` order:
+        ``[(chain, [(dispatch_idx, window, predicted_ws), ...]), ...]`` --
+        nothing for an early message (held) or a repeat (counted)."""
+        seq = message[1]
+        if seq < self._next or seq in self.early:
+            self.repeats += 1
+            return []
+        self.early[seq] = message
+        due = []
+        while self._next in self.early:
+            due.append(self._apply(self.early.pop(self._next)))
+            self._next += 1
+        return due
+
+    def _apply(self, message: tuple) -> Tuple[str, List[tuple]]:
+        _tag, _seq, chain, seg_lo, packed, keep_from, spans = message
+        replica = self.logs.setdefault(chain, [0, []])
+        base, log = replica
+        if seg_lo == base + len(log):
+            log += unpack(packed)
+        else:
+            base = seg_lo
+            log[:] = unpack(packed)
+        entries = []
+        for dispatch_idx, window_id, start, stop, *times, predicted in spans:
+            events = log[start - base : stop - base]
+            window = Window(window_id, events, *times, start)
+            entries.append((dispatch_idx, window, predicted))
+        replica[0] = trim_log(log, base, keep_from)
+        return chain, entries
 
 
 class FailureDetector:

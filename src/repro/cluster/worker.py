@@ -12,8 +12,7 @@ Protocol (all messages travel in :class:`~repro.cluster.transport`
 batches)::
 
     coordinator -> worker
-        ("winbatch", chain, [(dispatch_idx, window, predicted_ws), ...])
-        ("win",   chain, dispatch_idx, window, predicted_ws)  # single-window path
+        ("winbatch", seq, chain, seg_lo, packed_segment, keep_from, spans)
         ("model", chain, payload, version)      # hot model swap
         ("cmd",   chain, drop_command | None, active)  # coordinated shedding
         ("sync",  token)                        # flush + report metrics
@@ -21,14 +20,19 @@ batches)::
 
     worker -> coordinator
         ("resbatch", shard_id, chain, [(dispatch_idx, [ComplexEvent, ...]), ...])
-        ("res",  shard_id, chain, dispatch_idx, [ComplexEvent, ...])
         ("sync", shard_id, token, metrics)
+        ("hb",   shard_id)                      # idle heartbeat
         ("err",  shard_id, traceback_text)
 
 ``winbatch`` carries every window one router-side
 :class:`~repro.pipeline.batching.EventBatch` closed for one shard --
 the micro-batch formed at ingress travels end-to-end instead of being
-re-wrapped into per-window messages.
+re-wrapped into per-window messages -- as spans of the arrival log
+plus the log segment this worker has not seen yet.  The layout and
+the ordered exactly-once link it needs are
+:mod:`repro.cluster.transport`'s business: its ``SpanReceiver`` holds
+this worker's replica of each chain's arrival log and turns a message
+back into ``(dispatch_idx, window, predicted_ws)`` entries.
 
 Workers are forked from the parent after ``train()``/``deploy()``, so
 they inherit the trained model, the shedder's drop command and its
@@ -373,7 +377,7 @@ def shard_main(
     and a worker traceback would misreport an orderly drain as a
     failure.
     """
-    from repro.cluster.transport import BatchingSender
+    from repro.cluster.transport import BatchingSender, SpanReceiver
 
     # the handler must be installed in the child's main thread; fork
     # inherits the parent's disposition, which for a driver under
@@ -382,6 +386,7 @@ def shard_main(
     sender = None
     try:
         sender = BatchingSender(out_queue, batch_size=batch_size, linger=linger)
+        receiver = SpanReceiver()
         writer = None
         if checkpoint_path is not None:
             writer = CheckpointWriter(
@@ -427,35 +432,25 @@ def shard_main(
                 tag = message[0]
                 if tag == "winbatch":
                     # one message per (EventBatch, shard): shed + match
-                    # every window, reply with one result batch
-                    _tag, chain_name, entries = message
-                    chain = chains[chain_name]
-                    work_start = time.perf_counter()
-                    results = [
-                        (dispatch_idx, chain.process_window(window, predicted))
-                        for dispatch_idx, window, predicted in entries
-                    ]
-                    busy += time.perf_counter() - work_start
-                    sender.send_now(("resbatch", shard_id, chain_name, results))
-                    if writer is not None:
-                        # checkpoint cadence ticks *after* the results
-                        # ship: the checkpointed state never claims
-                        # windows whose results could still be lost
-                        # with this process
-                        for _dispatch_idx, window, _predicted in entries:
-                            writer.observe_window(window.close_time)
-                elif tag == "win":
-                    _tag, chain_name, dispatch_idx, window, predicted = message
-                    work_start = time.perf_counter()
-                    complex_events = chains[chain_name].process_window(
-                        window, predicted
-                    )
-                    busy += time.perf_counter() - work_start
-                    sender.send(
-                        ("res", shard_id, chain_name, dispatch_idx, complex_events)
-                    )
-                    if writer is not None:
-                        writer.observe_window(window.close_time)
+                    # every window, reply with one result batch.  An
+                    # early message yields nothing until its predecessor
+                    # arrives, then both; a repeat yields nothing
+                    for chain_name, entries in receiver.receive(message):
+                        chain = chains[chain_name]
+                        work_start = time.perf_counter()
+                        results = [
+                            (dispatch_idx, chain.process_window(window, predicted))
+                            for dispatch_idx, window, predicted in entries
+                        ]
+                        busy += time.perf_counter() - work_start
+                        sender.send_now(("resbatch", shard_id, chain_name, results))
+                        if writer is not None:
+                            # checkpoint cadence ticks *after* the results
+                            # ship: the checkpointed state never claims
+                            # windows whose results could still be lost
+                            # with this process
+                            for _dispatch_idx, window, _predicted in entries:
+                                writer.observe_window(window.close_time)
                 elif tag == "model":
                     _tag, chain_name, payload, version = message
                     chains[chain_name].swap_model(payload, version)
@@ -463,14 +458,20 @@ def shard_main(
                     _tag, chain_name, command, active = message
                     chains[chain_name].apply_command(command, active)
                 elif tag == "sync":
+                    if receiver.early:
+                        # barriers are never reordered: a predecessor
+                        # still missing now is lost, its windows with it
+                        raise RuntimeError("span link lost a data message")
                     sender.flush()
                     wall = time.perf_counter() - started
+                    repeats, receiver.repeats = receiver.repeats, 0
                     metrics = {
                         "busy_seconds": busy,
                         "wall_seconds": wall,
                         "utilization": busy / wall if wall > 0 else 0.0,
                         "batches_received": batches_in,
                         "messages_received": messages_in,
+                        "repeats_dropped": repeats,
                         "chains": {
                             name: chain.metrics() for name, chain in chains.items()
                         },

@@ -1,5 +1,8 @@
 """Unit tests for the event model (repro.cep.events)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.cep.events import (
@@ -91,6 +94,62 @@ class TestComplexEvent:
         cplx = self._cplx([4, 7, 9])
         assert cplx.positions == (4, 7, 9)
         assert len(cplx) == 3
+
+
+def fields_of(event):
+    """Every field with its type: ``==`` skips attrs and equates 1/1.0/True."""
+    flat = [event.event_type, event.seq, event.timestamp, *event.attrs.items()]
+    return [(type(value), value) for value in flat]
+
+
+class TestPickling:
+    """``__reduce__`` is ``(cls, fields)``: what the cluster's result hop
+    and any attrs the span transport cannot column-pack ride on."""
+
+    EVENTS = [
+        Event("A", 0, 0.5),
+        Event("tür", 7, 1, {"spieler": "Müller-Ωé", "n": 1, "f": 1.0, "b": True}),
+        Event("B", 2**40, -3.25, attrs={"nested": {"xs": [1, 2.0, None]}, "t": (1,)}),
+    ]
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_event_roundtrip_keeps_attrs_and_value_types(self, protocol):
+        for event in self.EVENTS:
+            clone = pickle.loads(pickle.dumps(event, protocol))
+            assert clone == event and type(clone) is Event
+            assert fields_of(clone) == fields_of(event)
+            assert clone.attrs == event.attrs and clone.attrs is not event.attrs
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_complex_event_roundtrip(self, protocol):
+        detection = ComplexEvent("q", 3, tuple(self.EVENTS), detection_time=9.5)
+        clone = pickle.loads(pickle.dumps([detection, detection], protocol))
+        assert clone[0] is clone[1]  # memoised like any other object
+        assert clone[0] == detection and clone[0].key == detection.key
+        assert type(clone[0].events) is tuple
+        assert clone[0].detection_time == 9.5
+        assert [fields_of(e) for e in clone[0].events] == [
+            fields_of(e) for e in self.EVENTS
+        ]
+
+    def test_reduce_is_class_plus_field_tuple(self):
+        event = self.EVENTS[1]
+        assert event.__reduce__() == (Event, ("tür", 7, 1, event.attrs))
+        detection = ComplexEvent("q", 3, (event,), 2.0)
+        assert detection.__reduce__() == (ComplexEvent, ("q", 3, (event,), 2.0))
+
+    def test_copy_and_deepcopy_unchanged(self):
+        event = self.EVENTS[2]
+        shallow, deep = copy.copy(event), copy.deepcopy(event)
+        assert shallow == event and shallow is not event
+        assert shallow.attrs is event.attrs  # a shallow copy shares the payload
+        assert deep == event and fields_of(deep) == fields_of(event)
+        assert deep.attrs is not event.attrs
+        assert deep.attrs["nested"] is not event.attrs["nested"]
+        detection = ComplexEvent("q", 1, (event,), 4.0)
+        assert copy.copy(detection).events is detection.events
+        assert copy.deepcopy(detection) == detection
+        assert copy.deepcopy(detection).events[0] is not event
 
 
 class TestEventStream:

@@ -109,12 +109,22 @@ def window_record(window):
     )
 
 
+def assert_spans_index(fed, windows):
+    """Every window is arrivals ``[start, start + size)`` of the one log
+    ``fed`` -- all events given to the assigner so far, in order -- so
+    ``start`` is the arrival ordinal of ``events[0]``."""
+    for window in windows:
+        span = fed[window.start : window.start + window.size]
+        assert len(span) == window.size
+        assert all(a is b for a, b in zip(span, window.events))
+
+
 class TestAssignersMatchTheOracle:
     @given(assigner_specs(), streams())
     @settings(max_examples=300, deadline=None)
     def test_same_memberships_and_windows(self, spec_, events):
         fast, slow = build_pair(spec_)
-        for event in events:
+        for fed, event in enumerate(events, start=1):
             got, want = fast.on_event(event), slow.on_event(event)
             assert refs_of(got.assignments) == refs_of(want.assignments)
             assert len(got.assignments) == len(want.assignments)
@@ -124,24 +134,36 @@ class TestAssignersMatchTheOracle:
             assert [window_record(w) for w in fast.open_windows] == [
                 window_record(w) for w in slow.open_windows
             ]
-        assert [window_record(w) for w in fast.flush()] == [
+            assert_spans_index(events[:fed], got.closed + fast.open_windows)
+            # the trim bound: nothing open (or yet to open) starts below it
+            starts = [w.start for w in fast.open_windows]
+            assert fast.oldest_open_start == min(starts, default=fed)
+        flushed = fast.flush()
+        assert [window_record(w) for w in flushed] == [
             window_record(w) for w in slow.flush()
         ]
+        assert_spans_index(events, flushed)
+        assert fast.oldest_open_start == len(events)
         assert fast.open_windows == [] and len(fast._log) == 0
 
     @given(assigner_specs(), streams(), streams(max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_assigner_stays_usable_after_flush(self, spec_, first, second):
         fast, slow = build_pair(spec_)
+        fed = []
         for events in (first, second):
+            fed += events  # arrival ordinals run on across a flush
             for got, want in zip(fast.on_events(events), slow.on_events(events)):
                 assert refs_of(got.assignments) == refs_of(want.assignments)
                 assert [window_record(w) for w in got.closed] == [
                     window_record(w) for w in want.closed
                 ]
-            assert [window_record(w) for w in fast.flush()] == [
+                assert_spans_index(fed, got.closed)
+            flushed = fast.flush()
+            assert [window_record(w) for w in flushed] == [
                 window_record(w) for w in slow.flush()
             ]
+            assert_spans_index(fed, flushed)
 
 
 class TestMembershipsIsASequenceOfRefs:

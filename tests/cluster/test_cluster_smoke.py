@@ -7,6 +7,8 @@ failure handling -- kept small enough for the CI cluster smoke job
 timeout, so a multiprocessing deadlock fails fast instead of hanging).
 """
 
+import pickle
+
 import pytest
 
 from repro.cluster import ShardedPipeline, ShardedResult
@@ -165,6 +167,69 @@ class TestRunAndMerge:
                 assert reference
             else:
                 assert out == reference, f"router {router} changed detections"
+
+
+class _SpyQueue:
+    """``put()`` proxy keeping the pickled bytes of every batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.blobs = []
+
+    def put(self, batch):
+        self.blobs.append(pickle.dumps(batch))
+        self.inner.put(batch)
+
+
+class TestSpansCrossThePipe:
+    """The coordinator->worker hop carries log segments and spans: no
+    ``Window`` (and no ``Event``: segments are packed columns) is ever
+    pickled towards a worker, in any mode, and an event crosses at most
+    once per shard."""
+
+    def _spy(self, sharded):
+        spies = []
+        for sender in sharded._senders:
+            if not isinstance(sender.queue, _SpyQueue):
+                sender.queue = _SpyQueue(sender.queue)
+            spies.append(sender.queue)
+        return spies
+
+    def _assert_no_objects(self, spies, snapshot):
+        blobs = [blob for spy in spies for blob in spy.blobs]
+        assert any(b"winbatch" in blob for blob in blobs)
+        assert not any(b"Window" in blob or b"Event" in blob for blob in blobs)
+        once_per_shard = len(snapshot.shards) * snapshot.events_ingested
+        assert 0 < snapshot.transport["events_shipped"] <= once_per_shard
+
+    def test_replay(self, soccer, query):
+        _train, live = soccer
+        sequential = Pipeline.builder().query(query).build().run(live)
+        with sharded_builder(query, router="hash").build() as sharded:
+            spies = self._spy(sharded.start())
+            result = sharded.run(live)
+        assert keys(result.complex_events) == keys(sequential.complex_events)
+        self._assert_no_objects(spies, result.snapshot)
+        memberships = sum(s.memberships_kept for s in result.snapshot.shards)
+        assert result.snapshot.transport["events_shipped"] < memberships
+
+    def test_live_feed_fault_tolerant_with_scale_up(self, soccer, query):
+        _train, live = soccer
+        events = list(live)
+        sequential = Pipeline.builder().query(query).build().run(live)
+        got = []
+        with sharded_builder(query, fault_tolerant=True).build() as sharded:
+            spies = self._spy(sharded.start())
+            for at in range(0, len(events), 50):
+                if at == 2000:
+                    sharded.scale_up()
+                    spies = self._spy(sharded)
+                got += sharded.feed_many(events[at : at + 50])[query.name]
+            got += sharded.finish()[query.name]
+            snapshot = sharded.snapshot()
+        assert keys(got) == keys(sequential.complex_events)
+        assert len(snapshot.shards) == SHARDS + 1
+        self._assert_no_objects(spies, snapshot)
 
 
 class TestSnapshot:
