@@ -54,10 +54,13 @@ class MicroBatcher:
     ``add`` buffers one event and returns the completed batch when the
     buffer reached ``batch_size`` or the oldest buffered event has
     waited ``linger`` (event-time) seconds; ``take`` flushes whatever
-    is pending (tick boundaries, end of stream).
+    is pending (tick boundaries, end of stream).  A feeder that is
+    handed whole slices buffers a run the batch has room for with one
+    ``extend`` and cuts the pending batch itself (``split``) where a
+    tick or the linger bound falls inside the run.
     """
 
-    __slots__ = ("batch_size", "linger", "_batch", "_oldest")
+    __slots__ = ("batch_size", "linger", "pending")
 
     def __init__(self, batch_size: int, linger: float = 0.0) -> None:
         if batch_size <= 0:
@@ -66,33 +69,44 @@ class MicroBatcher:
             raise ValueError("linger must be non-negative")
         self.batch_size = batch_size
         self.linger = linger
-        self._batch = EventBatch()
-        self._oldest = 0.0
+        #: the batch being filled; ``pending.nows[0]`` is the clock of
+        #: the oldest buffered event, which the linger bound counts from
+        self.pending = EventBatch()
 
     def __len__(self) -> int:
-        return len(self._batch)
+        return len(self.pending)
 
     def __bool__(self) -> bool:
-        return bool(self._batch)
+        return bool(self.pending)
 
     def add(self, event: Event, now: float) -> Optional[EventBatch]:
         """Buffer one event; return the batch if it is due for flush."""
-        batch = self._batch
-        if not batch.events:
-            self._oldest = now
+        batch = self.pending
         batch.append(event, now)
         if len(batch.events) >= self.batch_size:
             return self.take()
-        if self.linger > 0.0 and now - self._oldest >= self.linger:
+        if self.linger > 0.0 and now - batch.nows[0] >= self.linger:
             return self.take()
         return None
 
+    def extend(self, events: List[Event], nows: List[float]) -> None:
+        """Buffer a run, with its clocks, that the pending batch has room for."""
+        self.pending.events.extend(events)
+        self.pending.nows.extend(nows)
+
     def take(self) -> Optional[EventBatch]:
         """Flush and return the pending batch (``None`` when empty)."""
-        if not self._batch.events:
+        if not self.pending.events:
             return None
-        batch = self._batch
-        self._batch = EventBatch()
+        batch = self.pending
+        self.pending = EventBatch()
+        return batch
+
+    def split(self, count: int) -> EventBatch:
+        """Flush the ``count`` oldest buffered events; the rest stay pending."""
+        batch = self.pending
+        self.pending = EventBatch(batch.events[count:], batch.nows[count:])
+        del batch.events[count:], batch.nows[count:]
         return batch
 
 

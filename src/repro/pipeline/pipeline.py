@@ -34,6 +34,7 @@ same chains under a configured arrival rate and operator throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cep.events import ComplexEvent, Event, EventStream
@@ -207,6 +208,10 @@ class QueryChain:
             *(egress_stages or []),
         ]
         self.stages: List[Stage] = [*self.ingress, *self.egress]
+        #: the stages that override ``on_tick`` (fixed, like the chain)
+        self.tick_stages = tuple(
+            s for s in self.stages if type(s).on_tick is not Stage.on_tick
+        )
         # hot-path dispatch: each half of the chain is a tuple of
         # prebound ``process_batch`` methods (the stage chain is fixed
         # after construction), so nothing re-resolves stage attributes
@@ -670,7 +675,12 @@ class Pipeline:
         buffering calls).  :meth:`flush_pending` forces the buffer
         through.  At the default batch size of one every call flushes.
         """
-        return self.feed_many((event,), now=now)
+        out: Dict[str, List[ComplexEvent]] = {
+            chain.query.name: [] for chain in self.chains
+        }
+        at = event.timestamp if now is None else now
+        self._feed_run([event], [at], self._feed_batcher, out)
+        return out
 
     def feed_many(
         self, events: Iterable[Event], now: Optional[float] = None
@@ -678,35 +688,101 @@ class Pipeline:
         """Push a slice of live events through every chain, in order.
 
         The bulk ingest hook of network front doors
-        (:mod:`repro.serve`) and other push-based producers, and the
-        loop :meth:`feed` is the one-event case of: the per-query
-        detections of the whole slice land in one result mapping, built
-        once per call.
+        (:mod:`repro.serve`) and other push-based producers: the slice
+        is cut into micro-batches (see :meth:`_feed_batches`) and the
+        per-query detections of the whole slice land in one result
+        mapping, built once per call.  ``events`` may be an iterator;
+        it is consumed one micro-batch at a time, so a caller whose
+        call raised (a stage failed on one batch) resumes by calling
+        again with the same iterator and loses only that batch.
         """
         out: Dict[str, List[ComplexEvent]] = {
             chain.query.name: [] for chain in self.chains
         }
-        batcher = self._feed_batcher
-        # whether any stage acts on ticks is asked at most once per call
-        ticks_observable: Optional[bool] = None
-        for event in events:
-            at = now if now is not None else event.timestamp
-            if at > self._last_fed:
-                self._last_fed = at
-            if self._next_tick is None or self._next_tick <= at:
-                if batcher and self._next_tick is not None:
-                    if ticks_observable is None:
-                        ticks_observable = self._ticks_observable()
-                    if ticks_observable:
-                        # a due tick is a batch boundary: buffered events
-                        # must be processed before detector duty runs,
-                        # as they are at batch size one
-                        self._collect_batch(batcher.take(), out)
-                self._advance_ticks(at)
-            batch = batcher.add(event, at)
-            if batch is not None:
-                self._collect_batch(batch, out)
+        self._feed_batches(events, now, self._feed_batcher, out)
         return out
+
+    def _feed_batches(
+        self,
+        events: Iterable[Event],
+        now: Optional[float],
+        batcher: MicroBatcher,
+        out: Optional[Dict[str, List[ComplexEvent]]],
+    ) -> float:
+        """Cut micro-batches from ``events``: the one batching loop.
+
+        Each round takes what the pending batch has room for off the
+        iterator -- never more, so the iterator is never ahead of the
+        batch being filled -- stamps the clocks and hands the run to
+        :meth:`_feed_run`.  Returns the clock of the last event (0.0
+        for an empty slice).
+        """
+        events = iter(events)
+        last = 0.0
+        while True:
+            room = batcher.batch_size - len(batcher.pending.events)
+            run = list(islice(events, room))
+            if run:
+                nows = (
+                    [event.timestamp for event in run]
+                    if now is None
+                    else [now] * len(run)
+                )
+                last = nows[-1]
+                self._feed_run(run, nows, batcher, out)
+            if len(run) < room:
+                return last  # the iterator ran dry inside this round
+
+    def _feed_run(
+        self,
+        run: List[Event],
+        nows: List[float],
+        batcher: MicroBatcher,
+        out: Optional[Dict[str, List[ComplexEvent]]],
+    ) -> None:
+        """Buffer a run the pending batch has room for; flush what is due.
+
+        The run is buffered before any stage runs, so a batch that
+        raises loses only itself (what the run holds beyond a cut stays
+        pending).  The batch is flushed when full and cut earlier only
+        where per-event feeding would cut it: before an event at which
+        a tick is due that some stage observes (a due tick is a batch
+        boundary: buffered events are processed before detector duty
+        runs, as they are at batch size one), and after an event at
+        which the oldest buffered one has lingered out.  Without
+        observable tick duty ticks are no-ops, so ``_next_tick`` is
+        stepped once for the run and no stage is called; whether duty
+        is observable is asked only when a tick is due.
+        """
+        latest = max(nows) if len(nows) > 1 else nows[0]
+        if latest > self._last_fed:
+            self._last_fed = latest
+        i = len(batcher.pending.events)  # the run's first event, once buffered
+        batcher.extend(run, nows)
+        ticks = False
+        if self._next_tick is None or self._next_tick <= latest:
+            ticks = self._ticks_observable()
+            if not ticks:
+                if self._next_tick is None:
+                    self._next_tick = nows[0] + self.config.check_interval
+                while self._next_tick <= latest:
+                    self._next_tick += self.config.check_interval
+        linger = batcher.linger
+        if ticks or linger > 0.0:
+            nows = batcher.pending.nows
+            while i < len(nows):
+                at = nows[i]
+                if ticks and (self._next_tick is None or self._next_tick <= at):
+                    if i and self._next_tick is not None:
+                        self._collect_batch(batcher.split(i), out)
+                        nows, i = batcher.pending.nows, 0
+                    self._advance_ticks(at)
+                i += 1
+                if linger > 0.0 and at - nows[0] >= linger:
+                    self._collect_batch(batcher.split(i), out)
+                    nows, i = batcher.pending.nows, 0
+        if len(batcher.pending.events) >= batcher.batch_size:
+            self._collect_batch(batcher.take(), out)
 
     def finish(self) -> Dict[str, List[ComplexEvent]]:
         """End a live feed session: flush the micro-batcher and windows.
@@ -739,13 +815,19 @@ class Pipeline:
     def _collect_batch(
         self,
         batch: Optional[EventBatch],
-        out: Dict[str, List[ComplexEvent]],
+        out: Optional[Dict[str, List[ComplexEvent]]],
     ) -> None:
-        """Run one micro-batch through every chain, appending detections."""
+        """Run one micro-batch through every chain.
+
+        Detections are appended to ``out`` per query; a replay passes
+        ``None`` (its emit stages retain them).
+        """
         if not batch:
             return
         for chain in self.chains:
             stage_batch = chain.run_batch(batch)
+            if out is None:
+                continue
             collected = out[chain.query.name]
             for ctx in stage_batch.contexts:
                 result = ctx.result
@@ -781,38 +863,33 @@ class Pipeline:
         the egress splits at window completions (see
         :meth:`QueryChain.process_batch`).  When no stage has periodic
         duty (no overload detector, no tick-driven custom stage) ticks
-        are provably no-ops, so neither the flushes nor the tick
-        bookkeeping run at all -- otherwise every due tick would cap
-        the effective batch at ``check_interval``'s worth of events.
+        are provably no-ops, so no batch is cut for them and no stage
+        is called -- otherwise every due tick would cap the effective
+        batch at ``check_interval``'s worth of events.
         """
         for chain in self.chains:
             chain.emit.drain_collected()
             chain.emit.retain = True
+        last_fed = self._last_fed
         try:
             # events still buffered by a live feed session are flushed
             # with retention already on: their detections join this
             # run's result instead of being silently dropped
             self.flush_pending()
             fed_before = self._events_fed
-            last = 0.0
-            ticks = self._ticks_observable()
+            # a replay cuts its batches as a live feed does, but at its
+            # own size and without moving the live session's clock
             batcher = MicroBatcher(self._batch_size(batch_size), self.config.linger)
-            flush = self._flush_run_batch
-            for event in stream:
-                last = event.timestamp
-                if ticks:
-                    if self._next_tick is not None and self._next_tick <= last:
-                        flush(batcher.take())
-                    self._advance_ticks(last)
-                flush(batcher.add(event, last))
-            if not ticks:
+            last = self._feed_batches(stream, None, batcher, None)
+            self._collect_batch(batcher.take(), None)
+            if not self._ticks_observable():
                 self._next_tick = None  # re-anchor: no tick was observable
-            flush(batcher.take())
             matches = {}
             for chain in self.chains:
                 chain.flush(now=last)
                 matches[chain.query.name] = chain.emit.drain_collected()
         finally:
+            self._last_fed = last_fed
             for chain in self.chains:
                 chain.emit.retain = False
         return PipelineResult(
@@ -828,22 +905,11 @@ class Pipeline:
         stage carries an overload detector; a custom stage overriding
         ``on_tick`` (rate limiters, ...) is assumed to act.
         """
-        base = Stage.on_tick
         for chain in self.chains:
-            for stage in chain.stages:
-                if isinstance(stage, SheddingStage):
-                    if stage.detector is not None:
-                        return True
-                elif type(stage).on_tick is not base:
+            for stage in chain.tick_stages:
+                if not isinstance(stage, SheddingStage) or stage.detector is not None:
                     return True
         return False
-
-    def _flush_run_batch(self, batch: Optional[EventBatch]) -> None:
-        if not batch:
-            return
-        for chain in self.chains:
-            chain.run_batch(batch)
-        self._events_fed += len(batch.events)
 
     # ------------------------------------------------------------------
     # virtual-time overload simulation (the paper's experimental setup)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cep.events import Event
 
@@ -48,8 +48,14 @@ def encode_frame(payload: Dict[str, object]) -> bytes:
     return len(body).to_bytes(4, "big") + body
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, object]]:
-    """Read one frame; ``None`` on a clean EOF between frames."""
+async def read_sized_frame(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[Dict[str, object], int]]:
+    """Read one frame: the decoded payload and its body length in bytes.
+
+    The length is the one the 4-byte header announced (the header
+    itself is not counted); ``None`` on a clean EOF between frames.
+    """
     try:
         header = await reader.readexactly(4)
     except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -67,7 +73,13 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, object]
         raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError("frame body must be a JSON object")
-    return payload
+    return payload, length
+
+
+async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, object]]:
+    """Read one frame; ``None`` on a clean EOF between frames."""
+    frame = await read_sized_frame(reader)
+    return None if frame is None else frame[0]
 
 
 # ----------------------------------------------------------------------

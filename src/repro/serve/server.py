@@ -10,7 +10,8 @@ Architecture (one process, one event loop)::
                                    ▼
                        bounded ingest queue  ── overflow → "overloaded"
                                    ▼
-                       single consumer task ──▶ Pipeline.feed()
+                       single consumer task ──▶ one Pipeline.feed_many()
+                                   │               per admitted frame
                                    ▼
                        EmitStage sinks (detections)
 
@@ -45,14 +46,16 @@ Design decisions, each mirroring a paper/ROADMAP concern:
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+from urllib.parse import parse_qs, urlsplit
 
 from repro.cep.events import ComplexEvent
 from repro.cluster.sharded import ShardedPipeline
 from repro.core.partitions import plan_partitions
+from repro.obs.exposition import CONTENT_TYPE, render_prometheus, wants_prometheus
+from repro.obs.snapshot import shedding_snapshot
 from repro.pipeline.pipeline import Pipeline
 from repro.serve import http as http_surface
 from repro.serve.health import HealthMonitor, HealthPolicy, HealthState
@@ -61,7 +64,7 @@ from repro.serve.protocol import (
     MAGIC,
     ProtocolError,
     encode_frame,
-    read_frame,
+    read_sized_frame,
     wire_to_events,
 )
 from repro.shedding.base import DropCommand
@@ -108,7 +111,7 @@ class PipelineServer:
     """Serve a built :class:`~repro.pipeline.Pipeline` over TCP/HTTP.
 
     Also accepts a :class:`~repro.cluster.sharded.ShardedPipeline`:
-    the cluster exposes the same ``feed``/``finish``/``backpressure``
+    the cluster exposes the same ``feed_many``/``finish``/``backpressure``
     surface, so the front door drives a multi-process deployment
     through the identical consumer loop (detections keep sequential
     order via the coordinator's dispatch-index merge).
@@ -128,7 +131,7 @@ class PipelineServer:
                 f"ShardedPipeline, not {type(pipeline).__name__}"
             )
         # a sharded pipeline is fed through its live serve surface
-        # (feed/finish); its workers fork on server start()
+        # (feed_many/finish); its workers fork on server start()
         self._sharded = isinstance(pipeline, ShardedPipeline)
         if self._sharded and observability is not None and pipeline.started:
             raise RuntimeError(
@@ -299,14 +302,20 @@ class PipelineServer:
     # ------------------------------------------------------------------
     async def _consume(self) -> None:
         queue = self._queue
-        feed = self.pipeline.feed
+        feed_many = self.pipeline.feed_many
         while True:
             events = await queue.get()
             started = time.perf_counter()
             try:
-                for event in events:
+                # one feed_many per admitted batch; a call that raised
+                # is resumed on the same iterator, so the events after
+                # the failing micro-batch are still fed (at most one
+                # failure per event, as when they were fed one by one)
+                remaining = iter(events)
+                for _attempt in events:
                     try:
-                        feed(event)
+                        feed_many(remaining)
+                        break
                     except asyncio.CancelledError:
                         raise
                     except Exception as exc:
@@ -372,7 +381,7 @@ class PipelineServer:
         """Feed live signals to the ladder; apply policy on transition."""
         utilization = self._pending / self.config.max_pending_events
         shed_rate = 0.0
-        for chain_state in self._shedding_snapshot().values():
+        for chain_state in shedding_snapshot(self.pipeline).values():
             if chain_state.get("active"):
                 shed_rate = max(
                     shed_rate, float(chain_state.get("drop_rate") or 0.0)
@@ -510,8 +519,6 @@ class PipelineServer:
         if self.observability is None:
             return 404, {"ok": False, "error": "tracing_disabled"}
         tracer = self.observability.tracer
-        from urllib.parse import parse_qs, urlsplit
-
         params = parse_qs(urlsplit(request.path).query)
         window_raw = params.get("window", [None])[0]
         if window_raw is not None:
@@ -570,14 +577,8 @@ class PipelineServer:
             "capacity": capacity,
             "utilization": round(self._pending / capacity, 4),
             "retry_after": round(retry, 4),
-            "shedding": self._shedding_snapshot(),
+            "shedding": shedding_snapshot(self.pipeline),
         }
-
-    def _shedding_snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Per-query shedding state, as sent to overloaded clients."""
-        from repro.obs.snapshot import shedding_snapshot
-
-        return shedding_snapshot(self.pipeline)
 
     # ------------------------------------------------------------------
     # connection handling
@@ -641,17 +642,18 @@ class PipelineServer:
         client = self._peer_key(writer)
         while True:
             try:
-                message = await read_frame(reader)
+                frame = await read_sized_frame(reader)
             except ProtocolError as exc:
                 self.protocol_errors += 1
                 await self._send_frame(
                     writer, {"ok": False, "error": "protocol_error", "detail": str(exc)}
                 )
                 return
-            if message is None:
+            if frame is None:
                 return
+            message, body_length = frame
             self.frames_in += 1
-            self.bytes_in += len(json.dumps(message, separators=(",", ":")))
+            self.bytes_in += body_length
             op = message.get("op")
             if op == "bye":
                 await self._send_frame(writer, {"ok": True, "op": "bye"})
@@ -780,8 +782,6 @@ class PipelineServer:
                 # content negotiation: Prometheus scrapers get the text
                 # format rendered from the shared registry; JSON stays
                 # the default for existing clients
-                from repro.obs.exposition import CONTENT_TYPE, render_prometheus
-
                 text = render_prometheus(self.observability.registry)
                 data = http_surface.text_response(
                     200, text, content_type=CONTENT_TYPE,
@@ -805,8 +805,6 @@ class PipelineServer:
 
     @staticmethod
     def _wants_prometheus_text(request) -> bool:
-        from repro.obs.exposition import wants_prometheus
-
         if "format=prometheus" in request.path:
             return True
         return wants_prometheus(request.header("accept"))
@@ -971,7 +969,7 @@ class PipelineServer:
                 "feed_errors": self.feed_errors,
                 "last_feed_error": self._last_feed_error,
             },
-            "shedding": self._shedding_snapshot(),
+            "shedding": shedding_snapshot(self.pipeline),
             "backpressure": self.pipeline.backpressure(),
             # the same per-stage numbers Pipeline.metrics() reports
             # in-process (one snapshot code path, regression-tested)
