@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, Iterator, List, Optional
 
 from repro.cep.events import Event
 from repro.cep.windows import NO_MEMBERSHIPS, Memberships, Window
@@ -78,6 +78,13 @@ class InputQueue:
         self.total_dequeued += 1
         return item
 
+    def take(self, count: int) -> List[QueuedItem]:
+        """Dequeue the ``count`` oldest items at once (a drained segment)."""
+        popleft = self._items.popleft
+        items = [popleft() for _ in range(count)]
+        self.total_dequeued += count
+        return items
+
     def pop_all(self) -> List[QueuedItem]:
         """Dequeue every item at once (the batched path's single drain).
 
@@ -106,6 +113,10 @@ class InputQueue:
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def __iter__(self) -> Iterator[QueuedItem]:
+        """The queued items, oldest first (do not mutate while iterating)."""
+        return iter(self._items)
 
     def __bool__(self) -> bool:
         return bool(self._items)

@@ -1,16 +1,18 @@
 """Hot-path instrumentation: composites in place of stage dispatch.
 
-A chain's two halves each call one tuple of prebound ``process_batch``
-methods (``QueryChain._ingress_batch_dispatch`` /
-``_egress_batch_dispatch``) instead of resolving stage attributes per
-batch.  Observability reuses that trick in reverse: *enabling* obs
-replaces each tuple with one timing/tracing composite closure,
-*disabling* it restores the plain prebound methods.  When obs is off
-the dispatch tuples are byte-identical to an uninstrumented pipeline,
-so the disabled cost is structurally zero -- no flag checks, no no-op
-calls on the hot path.  Every driver (live feed, replay, the
-virtual-time simulation's one-item egress) goes through those two
-tuples, so the two composites are the only instrumentation.
+A chain calls prebound ``process_batch`` methods instead of resolving
+stage attributes per batch: the ingress tuple
+(``QueryChain._ingress_batch_dispatch``) and the egress's two steps,
+*decide* (``_decide_dispatch``, the shedding stage) and *apply*
+(``_apply_dispatch``: match, emit, custom stages).  Observability
+reuses that trick in reverse: *enabling* obs replaces each with one
+timing/tracing composite closure, *disabling* it restores the plain
+prebound methods.  When obs is off the dispatch is byte-identical to an
+uninstrumented pipeline, so the disabled cost is structurally zero --
+no flag checks, no no-op calls on the hot path.  Every driver (live
+feed, replay, the virtual-time simulation, which prices a segment
+between decide and apply) goes through those three, so the three
+composites are the only instrumentation.
 
 What the composites record (and what they deliberately do not):
 
@@ -196,19 +198,19 @@ def instrument_chain(chain, obs: Observability) -> None:
         for wid, count in emitted.items():
             tracer.on_emitted(query, wid, now, count)
 
-    # Each half is instrumented as ONE composite closure per dispatch
-    # tuple rather than one wrapper per stage.  Three reasons, all
-    # measured against the ≤2% budget at batch=64:
+    # Each dispatch step is instrumented as ONE composite closure
+    # rather than one wrapper per stage.  Three reasons, all measured
+    # against the ≤2% budget at batch=64:
     #
     # - per-context scans are gated on counter deltas the stages
     #   already maintain (shedder drops, windows completed, emitted): a
     #   batch in which nothing dropped, closed or emitted -- the
     #   overwhelmingly common case -- costs one integer compare instead
     #   of an O(batch) attribute-check loop.  All three deltas are
-    #   taken inside the egress composite, around the stage that moves
-    #   the counter: the queue may decouple the two halves of a batch
-    #   (the simulation driver processes items long after their
-    #   arrival), so nothing the ingress saw can gate an egress scan.
+    #   taken inside the egress composites, around the stage that moves
+    #   the counter: the queue may decouple ingress from egress (the
+    #   simulation driver processes items long after their arrival),
+    #   so nothing the ingress saw can gate an egress scan.
     # - consecutive stages share one ``perf_counter()`` timestamp (the
     #   end of stage N is the start of stage N+1), halving the clock
     #   reads and dropping four wrapper frames per batch.  After a rare
@@ -269,22 +271,31 @@ def instrument_chain(chain, obs: Observability) -> None:
         for s in chain.egress
         if s is not shed_stage and s is not match_stage and s is not emit_stage
     )
+    # whether the last decide dropped anything: the apply that follows
+    # it explains the drops (the two halves always run as a pair)
+    dropped = False
 
-    def egress_composite(batch, _tail=tail_steps):
-        contexts = batch.contexts
+    def decide_composite(batch):
+        nonlocal dropped
         shedder = shed_stage.shedder
         drops_before = shedder.drops if shedder is not None else 0
         t0 = perf_counter()
         shed_process(batch)
-        t1 = perf_counter()
-        shed_observe(t1 - t0)
-        if shedder is not None and shedder.drops != drops_before:
+        shed_observe(perf_counter() - t0)
+        dropped = shedder is not None and shedder.drops != drops_before
+
+    def apply_composite(batch, _tail=tail_steps):
+        nonlocal dropped
+        contexts = batch.contexts
+        # explanations are written here, not in decide, so they read the
+        # clock the driver stamped between the halves
+        if dropped:
+            dropped = False
             for ctx in contexts:
                 drops = ctx.drops
                 if drops and True in drops and not ctx.stopped:
                     shed_after(ctx)
-            t1 = perf_counter()
-        t0 = t1
+        t0 = perf_counter()
         closed_delta = -windows_completed()
         match_process(batch)
         closed_delta += windows_completed()
@@ -328,15 +339,17 @@ def instrument_chain(chain, obs: Observability) -> None:
                 t0 = t1
 
     chain._ingress_batch_dispatch = (ingress_composite,)
-    chain._egress_batch_dispatch = (egress_composite,)
+    chain._decide_dispatch = decide_composite
+    chain._apply_dispatch = (apply_composite,)
 
 
 def deinstrument_chain(chain) -> None:
-    """Restore the plain prebound dispatch tuples (obs off)."""
+    """Restore the plain prebound dispatch (obs off)."""
     chain._ingress_batch_dispatch = tuple(
         s.process_batch for s in chain.ingress
     )
-    chain._egress_batch_dispatch = tuple(s.process_batch for s in chain.egress)
+    chain._decide_dispatch = chain.shedding.process_batch
+    chain._apply_dispatch = tuple(s.process_batch for s in chain.egress[1:])
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional
 
 from repro.cep.events import Event
+from repro.cep.operator.queue import QueuedItem
 from repro.pipeline.stages import StageContext
 
 
@@ -151,6 +152,15 @@ class StageBatch:
                 for event, now in zip(batch.events, batch.nows)
             ]
         )
+
+    @classmethod
+    def from_items(cls, items: Iterable[QueuedItem]) -> "StageBatch":
+        """Contexts for dequeued items, for an egress driver to run.
+
+        Each clock starts at 0.0: the driver stamps ``ctx.now`` with the
+        item's start once it knows it.
+        """
+        return cls([StageContext(item.event, 0.0, item) for item in items])
 
     def __len__(self) -> int:
         return len(self.contexts)

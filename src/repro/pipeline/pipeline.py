@@ -27,8 +27,9 @@ Lifecycle::
 Live ``feed``/``run`` process events synchronously in event time (the
 queue only buffers within one feed); the virtual-time overload
 replay -- the paper's experimental setup -- is provided by
-:func:`repro.runtime.simulation.simulate_pipeline`, which steps the
-same chains under a configured arrival rate and operator throughput.
+:func:`repro.runtime.simulation.simulate_pipeline`, which drives the
+same chains in batches under a configured arrival rate and operator
+throughput.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from itertools import islice
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cep.events import ComplexEvent, Event, EventStream
-from repro.cep.operator.operator import CEPOperator, ProcessResult
-from repro.cep.operator.queue import InputQueue, QueuedItem
+from repro.cep.operator.operator import CEPOperator
+from repro.cep.operator.queue import InputQueue
 from repro.cep.parallel import WindowParallelOperator
 from repro.cep.patterns.query import Query
 from repro.core.adaptive import AdaptiveController
@@ -55,7 +56,6 @@ from repro.pipeline.stages import (
     ParallelMatchStage,
     SheddingStage,
     Stage,
-    StageContext,
     WindowAssignStage,
 )
 from repro.shedding.base import LoadShedder
@@ -141,9 +141,9 @@ class QueryChain:
     Built by :class:`repro.pipeline.builder.PipelineBuilder`; driven
     either by :class:`Pipeline` (live mode) or by the virtual-time
     simulation driver, both through the same entry points:
-    :meth:`ingest_batch` (:meth:`ingest` for one event),
-    :meth:`process_batch` (:meth:`process_item` for one dequeued item),
-    :meth:`on_tick`, :meth:`flush`.
+    :meth:`ingest_batch` (:meth:`ingest` for one event), the egress
+    halves :meth:`decide` and :meth:`apply` (:meth:`process_batch`
+    runs both), :meth:`on_tick`, :meth:`flush`.
     """
 
     def __init__(
@@ -212,14 +212,17 @@ class QueryChain:
         self.tick_stages = tuple(
             s for s in self.stages if type(s).on_tick is not Stage.on_tick
         )
-        # hot-path dispatch: each half of the chain is a tuple of
-        # prebound ``process_batch`` methods (the stage chain is fixed
-        # after construction), so nothing re-resolves stage attributes
-        # per batch.  Enabling observability swaps these tuples for
-        # instrumented composites -- disabled, they are identical to an
-        # uninstrumented chain.
+        # hot-path dispatch: prebound ``process_batch`` methods (the
+        # stage chain is fixed after construction), so nothing
+        # re-resolves stage attributes per batch.  The egress is two
+        # steps -- *decide* (the shedding stage) and *apply* (match,
+        # emit, custom stages) -- because the virtual-time driver prices
+        # a segment between them.  Enabling observability swaps these
+        # for instrumented composites -- disabled, they are identical to
+        # an uninstrumented chain.
         self._ingress_batch_dispatch = tuple(s.process_batch for s in self.ingress)
-        self._egress_batch_dispatch = tuple(s.process_batch for s in self.egress)
+        self._decide_dispatch = self.shedding.process_batch
+        self._apply_dispatch = tuple(s.process_batch for s in self.egress[1:])
 
         # --- shedding machinery ---------------------------------------
         self.shedder: Optional[LoadShedder] = None
@@ -417,18 +420,6 @@ class QueryChain:
         stage_batch = self.ingest_batch(EventBatch([event], [now]))
         return not stage_batch.contexts[0].stopped
 
-    def process_item(self, item: QueuedItem, now: float) -> ProcessResult:
-        """Run the egress half over one item the driver dequeued.
-
-        A batch of one needs no segmentation (see :meth:`process_batch`):
-        nothing follows the item that could see a completed window.
-        """
-        ctx = StageContext(item.event, now, item)
-        stage_batch = StageBatch([ctx])
-        for process_batch in self._egress_batch_dispatch:
-            process_batch(stage_batch)
-        return ctx.result if ctx.result is not None else ProcessResult()
-
     def ingest_batch(self, batch: EventBatch) -> StageBatch:
         """Run the ingress half over a micro-batch of arrivals.
 
@@ -444,6 +435,30 @@ class QueryChain:
             process_batch(stage_batch)
         return stage_batch
 
+    @property
+    def shedding_live(self) -> bool:
+        """Whether per-event drop decisions are being taken."""
+        return (
+            self.shedding.per_event
+            and self.shedder is not None
+            and self.shedder.active
+            and self.operator is not None
+        )
+
+    def decide(self, stage_batch: StageBatch) -> None:
+        """Egress, first half: the shedding stage's drop decisions.
+
+        Fills ``ctx.drops``; nothing downstream of the decision has run,
+        so a driver may read the decisions (the virtual-time driver
+        prices the segment from them) before :meth:`apply`.
+        """
+        self._decide_dispatch(stage_batch)
+
+    def apply(self, stage_batch: StageBatch) -> None:
+        """Egress, second half: match, emit and custom egress stages."""
+        for process_batch in self._apply_dispatch:
+            process_batch(stage_batch)
+
     def process_batch(self, stage_batch: StageBatch) -> None:
         """Run the egress half over an ingested micro-batch.
 
@@ -455,23 +470,14 @@ class QueryChain:
         they would one event at a time.  Within a segment no such state
         change can occur, and the shedding stage resolves every (event,
         window) pair with one vectorized kernel pass.  Without live
-        shedding the whole batch is one segment.
+        shedding the whole batch is one segment.  Each segment is
+        decided, then applied.
         """
         self.queue.consume_all()  # the batch's items leave the queue as one drain
-        egress = self._egress_batch_dispatch
-        shedding_live = (
-            self.shedding.per_event
-            and self.shedder is not None
-            and self.shedder.active
-            and self.operator is not None
-        )
-        if not shedding_live:
-            for process_batch in egress:
-                process_batch(stage_batch)
-            return
-        for segment in self._segments(stage_batch):
-            for process_batch in egress:
-                process_batch(segment)
+        segments = self._segments(stage_batch) if self.shedding_live else [stage_batch]
+        for segment in segments:
+            self.decide(segment)
+            self.apply(segment)
 
     def run_batch(self, batch: EventBatch) -> StageBatch:
         """Ingest and immediately drain one micro-batch (synchronous mode).

@@ -9,12 +9,44 @@ per-event latencies are recorded -- all in virtual time, so runs are
 exactly repeatable.
 
 Since the pipeline API redesign this module no longer hand-assembles
-operator + queue + detector: :func:`simulate_pipeline` steps the
-middleware chains of a :class:`repro.pipeline.Pipeline` (ingress at
-arrival, detector ticks on the check interval, egress when the
-operator picks an item up), and :func:`simulate` is a thin
-single-query wrapper that builds the pipeline from loose components
-for backward compatibility.
+operator + queue + detector: :func:`simulate_pipeline` drives the
+middleware chains of a :class:`repro.pipeline.Pipeline`, and
+:func:`simulate` is a thin single-query wrapper that builds the
+pipeline from loose components for backward compatibility.
+
+Scheduling
+----------
+The schedule is that of a per-event discrete-event loop: at every
+instant the detector check comes first, then arrivals, then
+processing, and the chain whose next start is earliest processes first
+(the lower chain index wins ties).  The driver keeps that order exactly
+but advances virtual time per batch boundary and per due tick, not per
+event:
+
+- *Ingress* takes every arrival strictly before the next tick as one
+  batch per chain -- at most one check interval ahead when no chain has
+  a detector, exactly one arrival when the queue is bounded (admission
+  reads the depth between arrivals).  No ingress stage reads egress
+  state, so ingesting ahead of processing changes nothing downstream.
+- *Egress* takes a segment from the head of the earliest chain's
+  queue.  While shedding is live the segment ends at the first
+  window-closing item: completing a window moves the window-size
+  predictor the next decisions read.  It also ends before any item
+  whose worst-case start -- every earlier membership kept -- could
+  reach the next tick, the next un-ingested arrival or another chain's
+  next start.
+- A segment runs as *decide, price, apply*: the shedding stage decides
+  every membership (``QueryChain.decide``); the driver prices the items
+  from their kept counts (``start = max(free_at, enqueue_time)``,
+  ``free_at = start + cost``), stamps each context's clock with its
+  start and records latencies; then match, emit and the custom egress
+  stages run on the priced clock (``QueryChain.apply``).
+- The queue is not sampled while it runs ahead: ``max_queue_size`` and
+  the window-assign stage's ``max_queue_depth`` are derived once every
+  item that starts before a chunk's last arrival is priced.  The depth
+  right after an arrival is what was queued before the chunk, plus the
+  chunk's admissions so far, minus the items that started strictly
+  before that arrival -- exactly what a per-event loop samples.
 
 Cost model
 ----------
@@ -113,6 +145,10 @@ class SimulationConfig:
             raise ValueError("throughput must be positive")
         if self.latency_bound <= 0.0:
             raise ValueError("latency bound must be positive")
+        # the driver steps detector ticks by this much: zero would tick
+        # forever at one instant
+        if not (math.isfinite(self.check_interval) and self.check_interval > 0.0):
+            raise ValueError("check interval must be positive and finite")
         if self.mean_memberships <= 0.0:
             raise ValueError("mean memberships must be positive")
         if not 0.0 <= self.idle_cost_fraction < 1.0:
@@ -163,14 +199,18 @@ def simulate_pipeline(
     arrival_times: Optional[List[float]] = None,
     mean_memberships: Optional[Union[float, Mapping[str, float]]] = None,
 ) -> Dict[str, SimulationResult]:
-    """Step ``pipeline`` through ``stream`` in virtual time.
+    """Drive ``pipeline`` through ``stream`` in virtual time.
 
     Every chain sees the same arrival process (one shared input
     stream); each chain drains its own queue with its own operator at
     ``config.throughput``.  The scheduling order per instant is
     detector check, then arrival, then processing -- identical to the
-    historical single-operator simulation, which this function
-    generalises.
+    historical per-event simulation, which this function generalises
+    and batches (see the module docstring): ingress runs once per tick
+    interval, egress once per segment, and each segment is decided,
+    priced from its kept memberships, then applied on the priced clock.
+    ``max_queue_size`` is derived from arrival and start times rather
+    than sampled, and equals what the per-event loop sampled.
 
     Parameters
     ----------
@@ -195,7 +235,7 @@ def simulate_pipeline(
     """
     # function-level import: repro.pipeline's package __init__ imports
     # this module, so a top-level import would be circular
-    from repro.pipeline.batching import EventBatch
+    from repro.pipeline.batching import EventBatch, StageBatch
 
     _validate_arrivals(arrival_times, stream)
     chains = pipeline.chains
@@ -228,20 +268,39 @@ def simulate_pipeline(
 
     latency = [LatencyTracker(bound=config.latency_bound) for _ in chains]
     complex_events: List[List[ComplexEvent]] = [[] for _ in chains]
+    queues = [chain.queue for chain in chains]
     free_at = [0.0] * k
     max_queue = [0] * k
+    check_interval = config.check_interval
     next_check = [
-        config.check_interval if chain.detector is not None else _INFINITY
+        check_interval if chain.detector is not None else _INFINITY
         for chain in chains
     ]
+    # the last ingested chunk, kept until its queue samples can be
+    # derived: its arrival times, per chain the depth before it and
+    # which arrivals were admitted, and the starts priced since
+    chunk_nows: List[float] = []
+    chunk_depth = [0] * k
+    chunk_admitted: List[List[bool]] = [[] for _ in chains]
+    chunk_starts: List[List[float]] = [[] for _ in chains]
+
+    def _sample_chunk() -> None:
+        for ci, chain in enumerate(chains):
+            peak = _queue_peak(
+                chunk_depth[ci], chunk_nows, chunk_admitted[ci], chunk_starts[ci]
+            )
+            chunk_starts[ci].clear()
+            max_queue[ci] = max(max_queue[ci], peak)
+            assign = chain.window_assign
+            assign.max_queue_depth = max(assign.max_queue_depth, peak)
 
     n = len(stream)
     arrival_interval = 1.0 / config.input_rate
     arrival_index = 0
-    now = 0.0
-    # a bounded queue admits by its depth between batches, so its
-    # arrivals are ingested one per batch (rejections depend on the
-    # interleaving of enqueue and drain)
+    # the latest instant any arrival or start happened at
+    now = -_INFINITY if n else 0.0
+    # a bounded queue admits by its depth between arrivals, so its
+    # arrivals are ingested one per batch
     bounded = pipeline.config.queue_capacity is not None
 
     def _arrival_time(index: int) -> float:
@@ -249,79 +308,100 @@ def simulate_pipeline(
             return arrival_times[index]
         return index * arrival_interval
 
-    while arrival_index < n or any(chain.queue for chain in chains):
-        if arrival_index >= n:
-            next_arrival = _INFINITY
-        else:
-            next_arrival = _arrival_time(arrival_index)
-
-        next_process = _INFINITY
-        process_chain = -1
-        for ci, chain in enumerate(chains):
-            head = chain.queue.peek()
-            if head is None:
-                continue
-            start = max(free_at[ci], head.enqueue_time)
-            if start < next_process:
-                next_process = start
-                process_chain = ci
-
+    while arrival_index < n or any(queues):
+        next_arrival = _arrival_time(arrival_index) if arrival_index < n else _INFINITY
+        heads = [
+            max(free_at[ci], queue.peek().enqueue_time) if queue else _INFINITY
+            for ci, queue in enumerate(queues)
+        ]
+        next_process = min(heads)
         check_time = min(next_check)
-        now = min(next_arrival, next_process, check_time)
 
         if check_time <= next_arrival and check_time <= next_process:
             check_chain = next_check.index(check_time)
-            chains[check_chain].on_tick(now)
-            next_check[check_chain] += config.check_interval
+            chains[check_chain].on_tick(check_time)
+            next_check[check_chain] += check_interval
             continue
 
         if next_arrival <= next_process:
-            # a maximal run of arrivals nothing can interleave: under
-            # overload the operator is busy (free_at ahead of the
-            # arrival clock), so whole bursts of arrivals are due
-            # before the next processing step or detector check --
-            # ingest them as one batch instead of paying a full
-            # scheduler round-trip per event.  The processing bound is
-            # a lower bound on the earliest possible start (head
-            # enqueue times only grow during the run), so batching is
-            # conservative: any event that *could* tie with processing
-            # still wins the tie, exactly like a one-event-per-step
-            # schedule.
-            bound = _INFINITY
-            for ci, chain in enumerate(chains):
-                head = chain.queue.peek()
-                earliest = max(
-                    free_at[ci],
-                    head.enqueue_time if head is not None else next_arrival,
-                )
-                if earliest < bound:
-                    bound = earliest
+            # ingress: every arrival strictly before the next tick, at
+            # most one check interval ahead (no chain may have a
+            # detector), one arrival at a time into a bounded queue
+            _sample_chunk()
+            horizon = min(check_time, next_arrival + check_interval)
             run = EventBatch([stream[arrival_index]], [next_arrival])
             arrival_index += 1
             while arrival_index < n and not bounded:
                 t = _arrival_time(arrival_index)
-                if t > bound or t >= check_time:
+                if t >= horizon:
                     break
                 run.append(stream[arrival_index], t)
                 arrival_index += 1
-            now = run.nows[-1]
+            chunk_nows = run.nows
+            now = max(now, chunk_nows[-1])
             for ci, chain in enumerate(chains):
-                chain.ingest_batch(run)
-                max_queue[ci] = max(max_queue[ci], chain.queue.size)
+                assign = chain.window_assign
+                peak = assign.max_queue_depth
+                chunk_depth[ci] = queues[ci].size
+                contexts = chain.ingest_batch(run).contexts
+                chunk_admitted[ci] = [not ctx.stopped for ctx in contexts]
+                assign.max_queue_depth = peak  # derived by _sample_chunk
             continue
 
-        # the chain's operator picks its head item
-        chain = chains[process_chain]
-        item = chain.queue.pop()
-        start = max(free_at[process_chain], item.enqueue_time)
-        result = chain.process_item(item, now=start)
-        cost = idle_cost + membership_cost[process_chain] * result.memberships_kept
-        free_at[process_chain] = start + cost
-        latency[process_chain].record(
-            free_at[process_chain], free_at[process_chain] - item.enqueue_time
-        )
-        complex_events[process_chain].extend(result.complex_events)
+        # egress: a segment of the earliest chain's queue.  An item
+        # joins only if its worst-case start (every membership before
+        # it kept) precedes the next tick, the next un-ingested arrival
+        # and every other chain's next start -- a later chain's only on
+        # a tie.  The head always joins: its start is exact.
+        ci = heads.index(next_process)
+        chain = chains[ci]
+        queue = queues[ci]
+        slope = membership_cost[ci]
+        before = min(check_time, next_arrival, *heads[:ci])
+        at_latest = min(heads[ci + 1 :], default=_INFINITY)
+        live = chain.shedding_live
+        worst_free = free_at[ci]
+        count = 0
+        for item in queue:
+            start = max(worst_free, item.enqueue_time)
+            if count and (start >= before or start > at_latest):
+                break
+            count += 1
+            if live and item.closed_windows:
+                break  # the closed window moves the next decisions' predictor
+            worst_free = start + (idle_cost + slope * len(item.refs.ids))
+        segment = StageBatch.from_items(queue.take(count))
+        contexts = segment.contexts
 
+        chain.decide(segment)
+        at = free_at[ci]
+        done: List[float] = []
+        waited: List[float] = []
+        starts = chunk_starts[ci]
+        for ctx in contexts:
+            item = ctx.item
+            enqueued = item.enqueue_time
+            ctx.now = start = max(at, enqueued)
+            kept = len(item.refs.ids)
+            drops = ctx.drops
+            if drops:
+                kept -= drops.count(True)
+            at = start + (idle_cost + slope * kept)
+            starts.append(start)
+            done.append(at)
+            waited.append(at - enqueued)
+        free_at[ci] = at
+        now = max(now, start)
+        latency[ci].extend(done, waited)
+
+        chain.apply(segment)
+        found = complex_events[ci]
+        for ctx in contexts:
+            result = ctx.result
+            if result is not None and result.complex_events:
+                found.extend(result.complex_events)
+
+    _sample_chunk()
     # end of stream: flush still-open windows
     results: Dict[str, SimulationResult] = {}
     for ci, chain in enumerate(chains):
@@ -340,6 +420,31 @@ def simulate_pipeline(
             max_queue_size=max_queue[ci],
         )
     return results
+
+
+def _queue_peak(
+    depth: int, nows: List[float], admitted: List[bool], starts: List[float]
+) -> int:
+    """Deepest one chain's queue was right after any of a chunk's arrivals.
+
+    ``depth`` was queued before the chunk; ``admitted`` flags the
+    arrivals (at ``nows``) that were enqueued; ``starts`` are the start
+    times, in order, of the items processed since the chunk was
+    ingested.  An item leaves before an arrival only if it starts
+    strictly earlier (an arrival wins a tie).
+    """
+    peak = 0
+    started = 0
+    pending = len(starts)
+    for t, queued in zip(nows, admitted):
+        if queued:
+            depth += 1
+        while started < pending and starts[started] < t:
+            started += 1
+            depth -= 1
+        if depth > peak:
+            peak = depth
+    return peak
 
 
 def simulate_sharded(

@@ -117,8 +117,10 @@ class TestSequential:
         assert chain._ingress_batch_dispatch == tuple(
             stage.process_batch for stage in chain.ingress
         )
-        assert chain._egress_batch_dispatch == tuple(
-            stage.process_batch for stage in chain.egress
+        # the egress is two steps: decide (shedding), apply (the rest)
+        assert chain._decide_dispatch == chain.shedding.process_batch
+        assert chain._apply_dispatch == tuple(
+            stage.process_batch for stage in chain.egress[1:]
         )
         assert pipeline.observability is None
 

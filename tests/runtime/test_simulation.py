@@ -186,6 +186,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(input_rate=1.0, throughput=1.0, idle_cost_fraction=1.0)
 
+    @pytest.mark.parametrize(
+        "interval", [0.0, -0.01, float("nan"), float("inf")]
+    )
+    def test_check_interval_must_be_positive_and_finite(self, interval):
+        with pytest.raises(ValueError, match="check interval"):
+            SimulationConfig(input_rate=1.0, throughput=1.0, check_interval=interval)
+
+    def test_zero_check_interval_rejected_before_the_run(self):
+        """Ticks advance by the interval: at zero a deployed pipeline
+        used to tick forever at t = 0 instead of returning."""
+        pipeline = (
+            Pipeline.builder()
+            .query(toy_query())
+            .shedder("random", seed=5)
+            .reference_size(10)
+            .build()
+            .deploy(expected_throughput=1000.0, expected_input_rate=1400.0)
+        )
+        with pytest.raises(ValueError, match="check interval"):
+            pipeline.simulate(
+                toy_stream(50), input_rate=1400.0, throughput=1000.0, check_interval=0.0
+            )
+
     def test_overload_factor(self):
         config = SimulationConfig(input_rate=1200.0, throughput=1000.0)
         assert config.overload_factor == pytest.approx(1.2)
