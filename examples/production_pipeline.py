@@ -12,9 +12,8 @@ use beyond the single experiment loop, all through the
 3. **multi-query fan-out**: two queries sharing one input stream in a
    single pipeline, with a **custom logging middleware stage** counting
    what flows in,
-4. a **window-parallel pipeline** (degree 4) sharing the shedder --
-   detections are identical to a sequential run, the paper's
-   parallelism-independence claim,
+4. a **sequential shedding run** of the persisted model under a static
+   drop command -- the reference the cluster run in step 7 must equal,
 5. **adaptive deployment**: a drift-watching controller wired in with
    ``.adaptive()`` (paper §3.6 future work),
 6. a two-stage **operator graph**: man-marking complex events feed a
@@ -24,11 +23,14 @@ use beyond the single experiment loop, all through the
    across real worker processes via ``.distributed()``, with
    coordinated shedding and the cluster snapshot (per-shard
    utilization, queue depths, drop rates) a production dashboard would
-   scrape -- not just aggregate recall.
+   scrape -- not just aggregate recall.  Its detections must equal the
+   sequential run's (the paper's claim that eSPICE is independent of
+   the parallelism degree, §5); the script exits non-zero otherwise.
 
 Run:  python examples/production_pipeline.py
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -95,41 +97,30 @@ def main() -> None:
         f"({logged} events through the logging middleware)"
     )
 
-    # -- 4. window-parallel pipeline, shared persisted model -------------
-    def shedding_pipeline(degree: int) -> Pipeline:
-        builder = (
-            Pipeline.builder()
-            .query(query)
-            .shedder("espice", f=0.8)
-            .latency_bound(1.0)
-            .bin_size(8)
-            .model(deployed)
-        )
-        if degree > 1:
-            builder.parallel(degree)
-        pipeline = builder.build()
-        pipeline.deploy()
-        chain = pipeline.chains[0]
-        plan = plan_partitions(deployed.reference_size, qmax=1000.0, f=0.8)
-        chain.shedder.on_drop_command(
-            DropCommand(
-                x=0.15 * plan.partition_size,
-                partition_count=plan.partition_count,
-                partition_size=plan.partition_size,
-            )
-        )
-        chain.shedder.activate()
-        return pipeline
-
-    sequential_out = shedding_pipeline(1).run(live).complex_events
-    parallel = shedding_pipeline(4)
-    parallel_out = parallel.run(live).complex_events
-    same = [c.key for c in sequential_out] == [c.key for c in parallel_out]
-    imbalance = parallel.metrics()[query.name]["match"]["load_imbalance"]
+    # -- 4. sequential shedding run, shared persisted model --------------
+    plan = plan_partitions(deployed.reference_size, qmax=1000.0, f=0.8)
+    command = DropCommand(
+        x=0.15 * plan.partition_size,
+        partition_count=plan.partition_count,
+        partition_size=plan.partition_size,
+    )
+    sequential = (
+        Pipeline.builder()
+        .query(query)
+        .shedder("espice", f=0.8)
+        .latency_bound(1.0)
+        .bin_size(8)
+        .model(deployed)
+        .build()
+    )
+    sequential.deploy()
+    shedder = sequential.chains[0].shedder
+    shedder.on_drop_command(command)
+    shedder.activate()
+    sequential_out = sequential.run(live).complex_events
     print(
-        f"degree-4 parallel run: {len(parallel_out)} complex events, "
-        f"identical to sequential: {same} "
-        f"(imbalance {imbalance:.2f})"
+        f"sequential shedding run: {len(sequential_out)} complex events, "
+        f"drop rate {shedder.observed_drop_rate():.2f}"
     )
 
     # -- 5. adaptive deployment (drift detection wired in) ---------------
@@ -181,15 +172,8 @@ def main() -> None:
         .build()
     )
     sharded.deploy()
-    plan = plan_partitions(deployed.reference_size, qmax=1000.0, f=0.8)
     with sharded:
-        sharded.broadcast_shedding(
-            DropCommand(
-                x=0.15 * plan.partition_size,
-                partition_count=plan.partition_count,
-                partition_size=plan.partition_size,
-            )
-        )
+        sharded.broadcast_shedding(command)
         clustered = sharded.run(live)
     same = [c.key for c in clustered.complex_events] == [
         c.key for c in sequential_out
@@ -221,6 +205,8 @@ def main() -> None:
         f"  drift: match_rate={drift.match_rate:.2f} vs "
         f"trained={drift.trained_match_rate:.2f} -> {drift.reason}"
     )
+    if not same:
+        sys.exit("the sharded run diverged from the sequential shedding run")
 
 
 if __name__ == "__main__":

@@ -18,14 +18,15 @@ Middleware '19):
   queue and a (throughput-limited) processing loop, the unit eSPICE
   attaches to.
 - :mod:`repro.cep.language` -- a Tesla-like textual query front end.
-- :mod:`repro.cep.parallel` -- window-based data-parallel operator
-  (the paper's deployment context).
+
+Window-based data parallelism (the paper's deployment context, §5) is
+not an operator here: :mod:`repro.cluster` routes complete windows to
+forked shard workers, each running the one shed-then-match body.
 """
 
 from repro.cep.events import ComplexEvent, Event, EventStream, EventType
 from repro.cep.clock import VirtualClock
 from repro.cep.language import QueryParseError, parse_query
-from repro.cep.parallel import WindowParallelOperator
 
 __all__ = [
     "ComplexEvent",
@@ -34,6 +35,5 @@ __all__ = [
     "EventType",
     "QueryParseError",
     "VirtualClock",
-    "WindowParallelOperator",
     "parse_query",
 ]

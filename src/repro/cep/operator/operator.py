@@ -134,31 +134,10 @@ class CEPOperator:
     # ------------------------------------------------------------------
     # processing
     # ------------------------------------------------------------------
-    def decide(
-        self, item: QueuedItem, shedder: Optional[object] = None
-    ) -> Optional[List[bool]]:
-        """Drop decisions for ``item``'s memberships (True = drop).
-
-        ``shedder`` overrides the operator's own shedder -- the
-        pipeline's shedding stage owns the shedder and calls this
-        against an operator built without one.  Returns ``None`` when
-        no shedding applies (every membership kept), so the apply path
-        can skip the per-ref zip entirely.
-        """
-        shedder = shedder if shedder is not None else self.shedder
-        if shedder is None or not getattr(shedder, "active", True):
-            return None
-        event = item.event
-        predicted = self.predicted_window_size()
-        return [
-            shedder.should_drop(event, position, predicted)
-            for position in item.refs.positions()
-        ]
-
     def decide_batch(
         self, items: List[QueuedItem], shedder: Optional[object] = None
     ) -> List[Optional[List[bool]]]:
-        """Drop decisions for a batch of items in one shedder pass.
+        """Drop decisions (True = drop) for a batch of items in one pass.
 
         All memberships of ``items`` are flattened into one
         (event, position) batch and resolved by the shedder's
@@ -167,8 +146,13 @@ class CEPOperator:
         then sliced back per item.  The caller must guarantee the
         predictor state is constant across ``items`` -- i.e. no window
         completes between them -- which is exactly the segment contract
-        of the pipeline's batched egress.  Decisions are bit-identical
-        to calling :meth:`decide` per item.
+        of the pipeline's batched egress.
+
+        ``shedder`` overrides the operator's own shedder -- the
+        pipeline's shedding stage owns the shedder and calls this
+        against an operator built without one.  An item's entry is
+        ``None`` when no shedding applies (every membership kept), so
+        :meth:`apply` can skip the per-ref zip entirely.
         """
         shedder = shedder if shedder is not None else self.shedder
         if shedder is None or not getattr(shedder, "active", True):
@@ -188,14 +172,6 @@ class CEPOperator:
             out.append(mask[start : start + count])
             start += count
         return out
-
-    def process(self, item: QueuedItem, now: float = 0.0) -> ProcessResult:
-        """Process one queue item; completes any windows it closed.
-
-        Equivalent to :meth:`decide` followed by :meth:`apply` -- kept
-        as the one-call path for direct (non-pipeline) users.
-        """
-        return self.apply(item, self.decide(item), now=now)
 
     def apply(
         self,
@@ -306,6 +282,7 @@ class CEPOperator:
                 closed_windows=assignment.closed,
                 enqueue_time=event.timestamp,
             )
-            out.extend(self.process(item, now=event.timestamp).complex_events)
+            (drops,) = self.decide_batch([item])
+            out.extend(self.apply(item, drops, now=event.timestamp).complex_events)
         out.extend(self.flush(assigner.flush()))
         return out

@@ -105,10 +105,9 @@ class Router:
 class RoundRobinRouter(Router):
     """Windows cycle over shards in window-id order (paper deployment).
 
-    Uses ``window_id % shards`` -- the same dispatch rule as the
-    in-process :class:`~repro.cep.parallel.WindowParallelOperator`, so
-    a sharded run distributes windows exactly like the logical
-    parallel operator it replaces.
+    Uses ``window_id % shards``: the round-robin dispatch of the
+    window-parallel operators the paper deploys eSPICE in (§5), and the
+    only window parallelism this codebase has.
     """
 
     name = "round-robin"

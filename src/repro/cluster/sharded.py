@@ -127,7 +127,12 @@ class _ChainState:
         self.collected: List[ComplexEvent] = []
 
     def predict(self, window) -> float:
-        """Update-then-predict, mirroring ``WindowParallelOperator``."""
+        """Update-then-predict for a complete window about to be routed.
+
+        Folds ``window`` into the running average (truncated windows
+        excluded, as in ``CEPOperator``) and returns the prediction the
+        shard sheds the whole window under.
+        """
         if not window.truncated:
             self.size_sum += window.size
             self.size_count += 1
@@ -160,12 +165,6 @@ class ShardedPipeline:
         if checkpoint_interval <= 0:
             raise ValueError("checkpoint interval must be positive")
         for chain in pipeline.chains:
-            if chain.operator is None:
-                raise ValueError(
-                    "sharded execution needs sequential chains: windows are "
-                    "already the unit of distribution across shards (query "
-                    f"{chain.query.name!r} uses .parallel({chain.degree}))"
-                )
             if chain.adaptive_options is not None:
                 raise ValueError(
                     "adaptive retraining is coordinator work in a cluster: "

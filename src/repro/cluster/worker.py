@@ -117,10 +117,10 @@ class ShardChain:
     ) -> List[ComplexEvent]:
         """Shed and match one complete window.
 
-        Mirrors
-        :meth:`repro.cep.parallel.WindowParallelOperator.process_window`
-        -- the proven degree-invariant path -- except that the window
-        size prediction comes from the router instead of local state.
+        The one shed-whole-window-then-match body of the codebase: the
+        shedder resolves every position of the window in one pass under
+        ``predicted_ws`` (the coordinator's prediction, not local
+        state), and the matcher sees only the kept positions.
         """
         if self.window_seconds is not None:
             return self._process_window_timed(window, predicted_ws)

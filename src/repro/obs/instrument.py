@@ -121,6 +121,7 @@ def instrument_chain(chain, obs: Observability) -> None:
     shed_stage = chain.shedding
     match_stage = chain.match_stage
     emit_stage = chain.emit
+    operator = chain.operator
 
     def shed_after(ctx) -> None:
         """Attach a shed explanation to every dropped membership."""
@@ -129,10 +130,7 @@ def instrument_chain(chain, obs: Observability) -> None:
             return
         shedder = shed_stage.shedder
         detector = shed_stage.detector
-        operator = shed_stage.operator
-        predicted = (
-            operator.predicted_window_size() if operator is not None else 0.0
-        )
+        predicted = operator.predicted_window_size()
         overloaded = (
             detector.shedding
             if detector is not None
@@ -254,15 +252,7 @@ def instrument_chain(chain, obs: Observability) -> None:
     shed_observe = stage_hist[id(shed_stage)].pending.append
     match_process = match_stage.process_batch
     match_observe = stage_hist[id(match_stage)].pending.append
-    # windows the match stage has completed, by either kind of chain
-    if chain.parallel is not None:
-        windows_completed = chain.parallel.total_windows
-    else:
-        operator = chain.operator
-
-        def windows_completed() -> int:
-            return operator.stats.windows_completed
-
+    operator_stats = operator.stats
     emit_process = emit_stage.process_batch
     emit_observe = stage_hist[id(emit_stage)].pending.append
     # custom egress stages appended after emit, if any
@@ -296,9 +286,9 @@ def instrument_chain(chain, obs: Observability) -> None:
                 if drops and True in drops and not ctx.stopped:
                     shed_after(ctx)
         t0 = perf_counter()
-        closed_delta = -windows_completed()
+        closed_delta = -operator_stats.windows_completed
         match_process(batch)
-        closed_delta += windows_completed()
+        closed_delta += operator_stats.windows_completed
         t1 = perf_counter()
         match_observe(t1 - t0)
         t0 = t1

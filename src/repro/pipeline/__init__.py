@@ -45,7 +45,6 @@ from repro.pipeline.stages import (
     EmitStage,
     LoggingStage,
     MatchStage,
-    ParallelMatchStage,
     RateLimitStage,
     SamplingStage,
     SheddingStage,
@@ -76,7 +75,6 @@ __all__ = [
     "MatchStage",
     "MicroBatcher",
     "StageBatch",
-    "ParallelMatchStage",
     "Pipeline",
     "PipelineBuilder",
     "PipelineConfig",

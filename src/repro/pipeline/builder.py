@@ -54,7 +54,6 @@ class PipelineBuilder:
         self._ingress: List[StageLike] = []
         self._egress: List[StageLike] = []
         self._sinks: List[EventSink] = []
-        self._degree = 1
         self._adaptive: Optional[Dict[str, Any]] = None
         self._model: Optional["UtilityModel"] = None
         self._distributed: Optional[Dict[str, Any]] = None
@@ -205,13 +204,6 @@ class PipelineBuilder:
     # ------------------------------------------------------------------
     # deployment shape
     # ------------------------------------------------------------------
-    def parallel(self, degree: int) -> "PipelineBuilder":
-        """Window-parallel matching over ``degree`` logical instances."""
-        if degree <= 0:
-            raise ValueError("parallelism degree must be positive")
-        self._degree = degree
-        return self
-
     def distributed(
         self,
         shards: int,
@@ -331,23 +323,6 @@ class PipelineBuilder:
                 "shedder/detector injection only supports single-query "
                 "pipelines; use a registry strategy name for fan-out"
             )
-        if self._adaptive is not None and self._degree > 1:
-            raise ValueError(
-                "adaptive retraining requires the sequential operator "
-                "(parallel chains have no window listeners)"
-            )
-        if self._distributed is not None:
-            if self._degree > 1:
-                raise ValueError(
-                    "combine either .parallel() or .distributed(): shards "
-                    "already parallelise over windows"
-                )
-            if self._adaptive is not None:
-                raise ValueError(
-                    "adaptive retraining is coordinator work in a cluster: "
-                    "drop .adaptive() and call retrain() on the "
-                    "ShardedPipeline"
-                )
         chains = []
         for query in self._queries:
             chains.append(
@@ -360,7 +335,6 @@ class PipelineBuilder:
                     detector=self._detector_instance,
                     ingress_stages=self._materialise(self._ingress, multi),
                     egress_stages=self._materialise(self._egress, multi),
-                    degree=self._degree,
                     adaptive_options=self._adaptive,
                     sinks=list(self._sinks),
                     model=self._model,

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 from repro.cep.events import ComplexEvent, Event, EventStream
 from repro.cep.operator.operator import CEPOperator
 from repro.cep.operator.queue import InputQueue
-from repro.cep.parallel import WindowParallelOperator
 from repro.cep.patterns.query import Query
 from repro.core.adaptive import AdaptiveController
 from repro.core.fvalue import effective_f
@@ -53,7 +52,6 @@ from repro.pipeline.stages import (
     EmitStage,
     EventSink,
     MatchStage,
-    ParallelMatchStage,
     SheddingStage,
     Stage,
     WindowAssignStage,
@@ -156,7 +154,6 @@ class QueryChain:
         detector: Optional[OverloadDetector] = None,
         ingress_stages: Optional[List[Stage]] = None,
         egress_stages: Optional[List[Stage]] = None,
-        degree: int = 1,
         adaptive_options: Optional[dict] = None,
         sinks: Optional[List[EventSink]] = None,
         model: Optional[UtilityModel] = None,
@@ -165,7 +162,6 @@ class QueryChain:
         self.config = config
         self.strategy = strategy
         self.strategy_options = dict(strategy_options or {})
-        self.degree = degree
         self.adaptive_options = adaptive_options
         self.controller: Optional[AdaptiveController] = None
         self.model: Optional[UtilityModel] = model
@@ -179,19 +175,10 @@ class QueryChain:
         self.queue = InputQueue(capacity=config.queue_capacity)
         self.admission = AdmissionStage(self.queue, capacity=config.queue_capacity)
         self.window_assign = WindowAssignStage(query.new_assigner(), self.queue)
-        if degree > 1:
-            self.parallel: Optional[WindowParallelOperator] = WindowParallelOperator(
-                query, degree=degree, shedder=None
-            )
-            self.operator: Optional[CEPOperator] = None
-            match_stage: Stage = ParallelMatchStage(self.parallel)
-        else:
-            self.parallel = None
-            self.operator = CEPOperator(query, shedder=None)
-            match_stage = MatchStage(self.operator)
-        self.match_stage = match_stage
+        self.operator = CEPOperator(query, shedder=None)
+        self.match_stage = MatchStage(self.operator)
         self.window_assign.operator = self.operator
-        self.shedding = SheddingStage(per_event=degree == 1)
+        self.shedding = SheddingStage()
         self.shedding.operator = self.operator
         self.shedding.queue = self.queue
         self.emit = EmitStage(sinks)
@@ -264,8 +251,6 @@ class QueryChain:
     def _install_shedder(self, shedder: LoadShedder) -> None:
         self.shedder = shedder
         self.shedding.shedder = shedder
-        if self.parallel is not None:
-            self.parallel.shedder = shedder
 
     def _install_detector(self, detector: OverloadDetector) -> None:
         self.detector = detector
@@ -275,8 +260,7 @@ class QueryChain:
     def _prime(self, size: float, weight: int = 10) -> None:
         if self._primed or size <= 0:
             return
-        target = self.operator if self.operator is not None else self.parallel
-        target.prime_window_size(size, weight=weight)
+        self.operator.prime_window_size(size, weight=weight)
         self._primed = True
 
     # ------------------------------------------------------------------
@@ -372,7 +356,7 @@ class QueryChain:
         )
         if prime:
             self._prime(reference)
-        if self.adaptive_options is not None and self.operator is not None:
+        if self.adaptive_options is not None:
             if self.controller is not None:
                 # re-deploy: detach the previous controller so stale
                 # instances neither double-count windows nor hot-swap
@@ -438,12 +422,7 @@ class QueryChain:
     @property
     def shedding_live(self) -> bool:
         """Whether per-event drop decisions are being taken."""
-        return (
-            self.shedding.per_event
-            and self.shedder is not None
-            and self.shedder.active
-            and self.operator is not None
-        )
+        return self.shedder is not None and self.shedder.active
 
     def decide(self, stage_batch: StageBatch) -> None:
         """Egress, first half: the shedding stage's drop decisions.

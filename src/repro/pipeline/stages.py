@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from repro.cep.events import ComplexEvent, Event
 from repro.cep.operator.operator import CEPOperator, ProcessResult
 from repro.cep.operator.queue import InputQueue, QueuedItem
-from repro.cep.parallel import WindowParallelOperator
 from repro.cep.windows import Window, WindowAssigner
 from repro.core.overload import OverloadDetector
 from repro.shedding.base import LoadShedder
@@ -199,7 +198,7 @@ class WindowAssignStage(Stage):
         # wired by the chain: an item whose enqueue fails is already in
         # the assigner's arrival log, so the operator that will complete
         # its windows must be told to leave it out
-        self.operator: Optional[CEPOperator] = None
+        self.operator: CEPOperator
         self.assigned_memberships = 0
         self.windows_closed = 0
         self.rejected = 0
@@ -209,8 +208,7 @@ class WindowAssignStage(Stage):
         if self.queue.push(item):
             return True
         self.rejected += 1
-        if self.operator is not None:
-            self.operator.discard(item)
+        self.operator.discard(item)
         return False
 
     def process_batch(self, batch: "StageBatch") -> None:
@@ -259,27 +257,23 @@ class SheddingStage(Stage):
     context for the match stage to apply.  Per tick it runs the
     detector's periodic queue check (paper §3.4), which
     activates/deactivates the shedder and renews its drop command.
-
-    ``per_event=False`` (window-parallel chains) skips the per-event
-    decisions: there the operator sheds whole windows at completion.
     """
 
     name = "shedding"
 
-    __slots__ = ("shedder", "detector", "per_event", "operator", "queue")
+    __slots__ = ("shedder", "detector", "operator", "queue")
 
     def __init__(
         self,
         shedder: Optional[LoadShedder] = None,
         detector: Optional[OverloadDetector] = None,
-        per_event: bool = True,
     ) -> None:
         self.shedder = shedder
         self.detector = detector
-        self.per_event = per_event
-        # wired by the chain: decisions scale positions against the
-        # match operator's predicted window size, checks read the queue
-        self.operator: Optional[CEPOperator] = None
+        # wired by the chain before any batch: decisions scale positions
+        # against the match operator's predicted window size, checks
+        # read the queue
+        self.operator: CEPOperator
         self.queue: Optional[InputQueue] = None
 
     def process_batch(self, batch: "StageBatch") -> None:
@@ -291,9 +285,7 @@ class SheddingStage(Stage):
         vectorized kernel resolves the whole drop mask at once.
         """
         shedder = self.shedder
-        if not (self.per_event and shedder is not None and self.operator is not None):
-            return
-        if not getattr(shedder, "active", True):
+        if shedder is None or not getattr(shedder, "active", True):
             return  # nothing is dropped: ``ctx.drops`` stays None
         contexts = batch.contexts
         drops = iter(
@@ -355,47 +347,6 @@ class MatchStage(Stage):
             "windows_completed": stats.windows_completed,
             "complex_events": stats.complex_events,
             "drop_ratio": stats.drop_ratio(),
-        }
-
-
-class ParallelMatchStage(Stage):
-    """Window-parallel matching (RIP/SPECTRE deployment shape, §5).
-
-    Complete windows are dispatched round-robin over ``degree`` logical
-    operator instances of a shared
-    :class:`~repro.cep.parallel.WindowParallelOperator`; shedding (if
-    any) happens per window at completion through the shared shedder,
-    which is what makes detections invariant in the parallelism degree.
-    """
-
-    name = "match"
-
-    __slots__ = ("parallel",)
-
-    def __init__(self, parallel: WindowParallelOperator) -> None:
-        self.parallel = parallel
-
-    def process_batch(self, batch: "StageBatch") -> None:
-        for ctx in batch.contexts:
-            if not ctx.stopped:
-                ctx.result = ProcessResult(
-                    self.flush(ctx.item.closed_windows, ctx.now)
-                )
-
-    def flush(self, windows: List[Window], now: float) -> List[ComplexEvent]:
-        complex_events: List[ComplexEvent] = []
-        for window in windows:
-            complex_events.extend(self.parallel.process_window(window, now=now))
-        return complex_events
-
-    def metrics(self) -> Dict[str, object]:
-        return {
-            "degree": self.parallel.degree,
-            "windows_completed": self.parallel.total_windows(),
-            "load_imbalance": self.parallel.load_imbalance(),
-            "complex_events": sum(
-                s.complex_events for s in self.parallel.instance_stats
-            ),
         }
 
 

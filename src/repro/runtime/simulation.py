@@ -240,15 +240,6 @@ def simulate_pipeline(
     _validate_arrivals(arrival_times, stream)
     chains = pipeline.chains
     k = len(chains)
-    for chain in chains:
-        if chain.operator is None:
-            raise ValueError(
-                "virtual-time simulation needs sequential chains: the "
-                "per-membership cost model cannot price window-parallel "
-                f"matching (query {chain.query.name!r} uses "
-                f".parallel({chain.degree})); use run()/feed() for "
-                "parallel pipelines"
-            )
     if prime_window_size is not None:
         for chain in chains:
             chain._prime(prime_window_size)

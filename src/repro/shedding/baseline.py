@@ -21,9 +21,11 @@ Concretely, this implementation:
 - drops each event of type ``T`` independently with probability
   ``min(1, c·w(T))``.
 
-Per-type frequencies are learned online from observed events, so BL
-adapts to the stream without a separate training phase (it keeps
-observing even while inactive).
+Per-type frequencies are learned from observed events, so BL needs no
+utility model: the pipeline feeds it the training stream (``train()`` /
+``warm()``), and every active decision observes its event.  An inactive
+BL is never consulted, so it learns nothing while the system is not
+overloaded.
 """
 
 from __future__ import annotations
@@ -159,11 +161,3 @@ class BLShedder(LoadShedder):
         if probability >= 1.0:
             return True
         return self._rng.random() < probability
-
-    def should_drop(self, event: Event, position: int, predicted_ws: float) -> bool:
-        # BL keeps learning frequencies even while inactive, so the plan
-        # is ready the moment overload hits.
-        if not self.active:
-            self.observe(event)
-            return False
-        return super().should_drop(event, position, predicted_ws)

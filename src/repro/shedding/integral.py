@@ -106,9 +106,3 @@ class IntegralShedder(LoadShedder):
         if self._marginal is not None and self._marginal[0] == event.event_type:
             return self._rng.random() < self._marginal[1]
         return False
-
-    def should_drop(self, event: Event, position: int, predicted_ws: float) -> bool:
-        if not self.active:
-            self.observe(event)
-            return False
-        return super().should_drop(event, position, predicted_ws)

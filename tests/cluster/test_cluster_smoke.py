@@ -62,10 +62,6 @@ class TestBuilderWiring:
         assert sharded.shards == SHARDS
         assert not sharded.started
 
-    def test_distributed_rejects_parallel(self, query):
-        with pytest.raises(ValueError, match="parallel"):
-            Pipeline.builder().query(query).parallel(2).distributed(2).build()
-
     def test_distributed_rejects_adaptive(self, query):
         with pytest.raises(ValueError, match="adaptive"):
             (

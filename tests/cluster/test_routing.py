@@ -25,24 +25,6 @@ class TestRoundRobin:
         shards = [router.route(make_window(i), "q") for i in range(9)]
         assert shards == [0, 1, 2, 0, 1, 2, 0, 1, 2]
 
-    def test_matches_window_parallel_operator_dispatch(self):
-        """Same rule as WindowParallelOperator.instance_of."""
-        from repro.cep.parallel import WindowParallelOperator
-        from repro.cep.patterns import seq, spec
-        from repro.cep.patterns.query import Query
-        from repro.cep.windows import CountSlidingWindows
-
-        query = Query(
-            name="toy",
-            pattern=seq("toy", spec("A")),
-            window_factory=lambda: CountSlidingWindows(size=2),
-        )
-        parallel = WindowParallelOperator(query, degree=4)
-        router = RoundRobinRouter().bind(4)
-        for window_id in range(16):
-            window = make_window(window_id)
-            assert router.route(window, "toy") == parallel.instance_of(window)
-
 
 class TestHashKey:
     def test_deterministic_and_in_range(self):

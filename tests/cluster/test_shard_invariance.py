@@ -1,9 +1,9 @@
-"""ISSUE satellite: shard-count invariance across real processes.
+"""Shard-count invariance across real processes.
 
 The paper claims eSPICE "is independent of the parallelism degree of
-the operator" (§5).  ``tests/pipeline/test_parallel_invariance.py``
-proves it for logical in-process parallelism; these property-style
-tests prove it for the cluster subsystem: ``simulate_sharded`` with
+the operator" (§5).  The forked-shard cluster is the codebase's only
+window parallelism, so these property-style tests are where the claim
+is gated: ``simulate_sharded`` with
 shards ∈ {1, 2, 4, 8} -- real forked worker processes, batched IPC
 transport, merge-and-order -- emits *identical complex events in
 identical order* as a sequential ``simulate_pipeline`` run of the same
@@ -157,9 +157,3 @@ class TestShardInvariance:
             simulate_sharded(
                 pipeline, live, shards=2, drop_command=DropCommand(x=1.0)
             )
-
-    def test_rejects_parallel_chains(self, q1_setup):
-        query, _model, live = q1_setup
-        pipeline = Pipeline.builder().query(query).parallel(2).build()
-        with pytest.raises(ValueError, match="sequential chains"):
-            simulate_sharded(pipeline, live, shards=2)

@@ -140,17 +140,6 @@ class TestFluentConstruction:
         assert all(isinstance(stage, LoggingStage) for stage in stages)
         assert stages[0] is not stages[1]
 
-    def test_adaptive_requires_sequential(self):
-        with pytest.raises(ValueError, match="sequential"):
-            (
-                Pipeline.builder()
-                .query(toy_query())
-                .shedder("espice")
-                .parallel(4)
-                .adaptive()
-                .build()
-            )
-
 
 class TestDeprecatedFacadeParity:
     """The builder wires what hand-assembled components would be."""

@@ -38,11 +38,6 @@ class TestFrequencyModel:
     def test_frequency_before_observation(self):
         assert BLShedder(pattern_ab()).frequency("A") == 0.0
 
-    def test_observes_while_inactive(self):
-        shedder = BLShedder(pattern_ab())
-        shedder.should_drop(ev("A"), 0, 10.0)
-        assert shedder.frequency("A") == 1.0
-
 
 class TestTypeUtility:
     def test_pattern_types_have_utility(self):

@@ -84,11 +84,6 @@ class TestDecision:
         drops = sum(1 for i in range(2000) if shedder.should_drop(ev("Y", i), i, 100.0))
         assert drops / 2000 == pytest.approx(probability, abs=0.05)
 
-    def test_observes_while_inactive(self):
-        shedder = IntegralShedder(pattern_ab())
-        shedder.should_drop(ev("Z"), 0, 10.0)
-        assert shedder.frequency("Z") == 1.0
-
     def test_sharper_than_fractional_on_patterns(self):
         # the integral failure mode: once a pattern type is in the
         # dropped set, every single instance vanishes
