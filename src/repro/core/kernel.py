@@ -1,16 +1,15 @@
-"""Vectorized shedding kernel: batch drop-mask resolution (paper §3.5).
+"""The shedding kernel: eSPICE's decision rule, batched (paper §3.5-§3.6).
 
-The per-event shedding decision is O(1), but in the interpreted scalar
-path each decision still pays a method-call chain, attribute chasing
-and branchy float arithmetic.  This module flattens the decision's
-state -- the utility table rows and the per-partition thresholds --
-into contiguous arrays once, so a *batch* of (type, position) pairs
-resolves to a boolean drop mask in a single pass:
+This module is the only place the rule of Algorithm 2 is computed.
+The decision's state -- the utility table rows and the per-partition
+thresholds -- is flattened into contiguous arrays once, so a *batch*
+of (type, position) pairs resolves to a boolean drop mask in a single
+pass:
 
     drop[i]  ⇔  UT(T_i, scaled(P_i)) ≤ uth(partition(scaled(P_i)))
 
-Two interchangeable backends produce **bit-for-bit identical masks**
-(property-tested against the scalar :meth:`ESpiceShedder._decide`):
+Two interchangeable backends produce **bit-for-bit identical masks**,
+each held to the naive executable spec of eSPICE under ``tests/``:
 
 - ``numpy``: the whole batch is resolved with vectorized array ops;
   auto-selected when NumPy is importable.
@@ -26,7 +25,8 @@ Select explicitly via the ``backend=`` argument or the
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from operator import le
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import scaling
 
@@ -71,13 +71,10 @@ class SheddingKernel:
     type_ids:
         Mapping from type name to row index (``UtilityTable.type_ids``).
     reference / bin_size:
-        The *model's* reference window size and bin size -- used for
-        the fast scale-down path and the partition computation, exactly
-        like the scalar shedder's cached ``_reference``/``_bin_size``.
-    table_reference / table_bin_size:
-        The *table's* own reference/bin parameters, used by the precise
-        scale-up path (they normally equal the model's, but the scalar
-        path reads them off the table, so the kernel mirrors that).
+        The model's reference window size ``N`` and bin size -- the one
+        ``N`` every position is scaled onto, for both the utility
+        lookup and the partition (a :class:`UtilityModel` guarantees
+        its table was built with the same values).
     backend:
         ``"numpy"`` | ``"fallback"`` | ``None`` (auto-detect).
 
@@ -91,9 +88,6 @@ class SheddingKernel:
         "bins",
         "bin_size",
         "reference",
-        "table_reference",
-        "table_bin_size",
-        "table_bins",
         "partition_size",
         "partition_count",
         "_type_rows",
@@ -103,6 +97,8 @@ class SheddingKernel:
         "_np_cumrows",
         "_thresholds",
         "_np_thresholds",
+        "_partition_at",
+        "_np_partition_at",
     )
 
     def __init__(
@@ -111,8 +107,6 @@ class SheddingKernel:
         type_ids: Dict[str, int],
         reference: int,
         bin_size: int,
-        table_reference: Optional[int] = None,
-        table_bin_size: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> None:
         if backend is None:
@@ -124,19 +118,12 @@ class SheddingKernel:
         self.backend = backend
         self.reference = reference
         self.bin_size = bin_size
-        self.table_reference = (
-            table_reference if table_reference is not None else reference
-        )
-        self.table_bin_size = (
-            table_bin_size if table_bin_size is not None else bin_size
-        )
-        self.bins = len(rows[0]) if rows else 0
-        self.table_bins = scaling.bin_count(self.table_reference, self.table_bin_size)
+        self.bins = scaling.bin_count(reference, bin_size)
         self.partition_size = float(reference)
         self.partition_count = 0
         # type name -> row index; unknown types resolve to an all-zero
-        # row appended after the real ones (utility 0: safe to drop
-        # first, same as the scalar path's "no evidence" rule)
+        # row appended after the real ones (utility 0: no evidence the
+        # type ever contributed, so it is safe to drop first)
         self._type_rows = dict(type_ids)
         self._unknown_row = len(rows)
         flat: List[int] = []
@@ -146,6 +133,8 @@ class SheddingKernel:
         self._flat = flat
         self._thresholds: List[int] = []
         self._np_thresholds = None
+        self._partition_at: List[int] = []
+        self._np_partition_at = None
         if backend == "numpy":
             matrix = _np.zeros((len(rows) + 1, self.bins), dtype=_np.int64)
             if rows:
@@ -165,10 +154,23 @@ class SheddingKernel:
         self, thresholds: Sequence[int], partition_size: float
     ) -> None:
         """Install the per-partition ``uth`` array of the current drop
-        command (cheap: thresholds change per command, rows do not)."""
+        command (cheap: thresholds change per command, rows do not).
+
+        The partition of every reference position, ``min(int(ref /
+        psize), ρ - 1)``, is tabulated whenever ρ or ``psize`` change,
+        so a decision looks it up instead of computing it.
+        """
         self._thresholds = [int(t) for t in thresholds]
-        self.partition_count = len(self._thresholds)
-        self.partition_size = float(partition_size)
+        plan = (len(self._thresholds), float(partition_size))
+        if plan != (self.partition_count, self.partition_size):
+            self.partition_count, self.partition_size = plan
+            top = self.partition_count - 1
+            self._partition_at = [
+                min(int(ref / self.partition_size), top)
+                for ref in range(self.reference if top >= 0 else 0)
+            ]
+            if self.backend == "numpy":
+                self._np_partition_at = _np.asarray(self._partition_at, dtype=_np.int64)
         if self.backend == "numpy":
             self._np_thresholds = _np.asarray(self._thresholds, dtype=_np.int64)
 
@@ -176,10 +178,6 @@ class SheddingKernel:
     def thresholds(self) -> List[int]:
         """Current per-partition thresholds (diagnostics, tests)."""
         return list(self._thresholds)
-
-    def row_index(self, type_name: str) -> int:
-        """Row index of ``type_name`` (the unknown row if unseen)."""
-        return self._type_rows.get(type_name, self._unknown_row)
 
     # ------------------------------------------------------------------
     def decide(
@@ -192,30 +190,40 @@ class SheddingKernel:
 
         ``events[i]`` sits at (unshedded) window position
         ``positions[i]`` of a window predicted to span ``predicted_ws``
-        events -- the same contract as
-        :meth:`repro.shedding.base.LoadShedder.should_drop`, batched.
-        The mask is bit-identical to calling the scalar decision per
-        pair.
+        events (``≤ 0``: unknown, the reference size is assumed) -- the
+        contract of :meth:`repro.shedding.base.LoadShedder.should_drop_batch`.
+        Both backends return the same mask.
         """
         n = len(positions)
         if n == 0:
             return []
         if not self._thresholds:
             return [False] * n
-        reference = self.reference
-        window_size = predicted_ws if predicted_ws > 0 else reference
         if self.backend == "numpy" and n >= NUMPY_MIN_BATCH:
-            return self._decide_numpy(events, positions, window_size)
-        return self._decide_fallback(events, positions, window_size)
+            return self._mask_numpy(events, positions, predicted_ws)
+        utilities, refs = self._resolve(events, positions, predicted_ws)
+        # utility <= thresholds[partition_at[ref]], pair by pair
+        partitions = map(self._partition_at.__getitem__, refs)
+        return list(map(le, utilities, map(self._thresholds.__getitem__, partitions)))
+
+    def explain(
+        self, event: object, position: int, predicted_ws: float
+    ) -> Tuple[int, int]:
+        """``(utility, partition)`` of one pair: the inputs :meth:`decide`
+        compares (read by :meth:`ESpiceShedder.explain`; needs installed
+        thresholds)."""
+        utilities, refs = self._resolve((event,), (position,), predicted_ws)
+        return utilities[0], self._partition_at[refs[0]]
 
     # ------------------------------------------------------------------
     # numpy backend
     # ------------------------------------------------------------------
-    def _decide_numpy(
-        self, events: Sequence, positions: Sequence[int], window_size: float
+    def _mask_numpy(
+        self, events: Sequence, positions: Sequence[int], predicted_ws: float
     ) -> List[bool]:
         np = _np
         reference = self.reference
+        window_size = predicted_ws if predicted_ws > 0 else reference
         row_of = self._type_rows
         unknown = self._unknown_row
         rows = np.fromiter(
@@ -235,20 +243,19 @@ class SheddingKernel:
                 np.minimum(ref_pos, reference - 1, out=ref_pos)
             utility = self._np_rows[rows, ref_pos // self.bin_size]
         else:
-            # scale up (ws < N): a position covers several cells whose
-            # utilities are averaged (paper §3.6) -- vectorized version
-            # of UtilityTable.utility + scaling.scale_position
-            t_ref = self.table_reference
-            t_bs = self.table_bin_size
-            factor = t_ref / window_size
+            # scale up (ws < N - 1): a position covers the reference
+            # interval [lo, hi), whose cells' utilities are averaged
+            # (paper §3.6); the partition comes from the same lo
+            factor = reference / window_size
             lo = pos * factor
-            np.minimum(lo, t_ref - 1e-9, out=lo)
+            np.minimum(lo, reference - 1e-9, out=lo)
             hi = (pos + 1) * factor
             np.maximum(hi, lo + 1e-9, out=hi)
-            np.minimum(hi, float(t_ref), out=hi)
-            first = lo.astype(np.int64) // t_bs
-            last = (np.ceil(hi).astype(np.int64) - 1) // t_bs
-            top = self.table_bins - 1
+            np.minimum(hi, float(reference), out=hi)
+            ref_pos = lo.astype(np.int64)
+            first = ref_pos // self.bin_size
+            last = (np.ceil(hi).astype(np.int64) - 1) // self.bin_size
+            top = self.bins - 1
             np.minimum(first, top, out=first)
             np.maximum(last, first, out=last)
             np.minimum(last, top, out=last)
@@ -260,80 +267,63 @@ class SheddingKernel:
                 self._np_rows[rows, first],
                 np.rint(span_sum / count).astype(np.int64),
             )
-            # the partition uses the *model* reference, like the scalar path
-            m_factor = reference / window_size
-            m_lo = pos * m_factor
-            np.minimum(m_lo, reference - 1e-9, out=m_lo)
-            ref_pos = m_lo.astype(np.int64)
 
-        partition = (ref_pos / self.partition_size).astype(np.int64)
-        np.minimum(partition, self.partition_count - 1, out=partition)
-        mask = utility <= self._np_thresholds[partition]
-        return mask.tolist()
+        uth = self._np_thresholds[self._np_partition_at[ref_pos]]
+        return (utility <= uth).tolist()
 
     # ------------------------------------------------------------------
-    # stdlib fallback backend
+    # stdlib fallback backend (and :meth:`explain` on both backends)
     # ------------------------------------------------------------------
-    def _decide_fallback(
-        self, events: Sequence, positions: Sequence[int], window_size: float
-    ) -> List[bool]:
+    def _resolve(
+        self, events: Sequence, positions: Sequence[int], predicted_ws: float
+    ) -> Tuple[List[int], List[int]]:
+        """Per pair, its utility and its reference position: one loop
+        per scaling regime."""
         reference = self.reference
+        window_size = predicted_ws if predicted_ws > 0 else reference
         bins = self.bins
         bin_size = self.bin_size
         flat = self._flat
         row_of = self._type_rows
         unknown = self._unknown_row
-        thresholds = self._thresholds
-        top_part = len(thresholds) - 1
-        psize = self.partition_size
-        out: List[bool] = []
-        append = out.append
+        utilities: List[int] = []
+        refs: List[int] = []
+        add_utility = utilities.append
+        add_ref = refs.append
 
         if window_size >= reference - 1.0:
             if window_size <= reference + 1.0:
                 last_pos = reference - 1
                 for event, position in zip(events, positions):
-                    ref_position = position if position < reference else last_pos
+                    ref = position if position < reference else last_pos
                     base = row_of.get(event.event_type, unknown) * bins
-                    utility = flat[base + ref_position // bin_size]
-                    partition = int(ref_position / psize)
-                    if partition > top_part:
-                        partition = top_part
-                    append(utility <= thresholds[partition])
+                    add_utility(flat[base + ref // bin_size])
+                    add_ref(ref)
             else:
                 for event, position in zip(events, positions):
-                    ref_position = int(position * reference / window_size)
-                    if ref_position >= reference:
-                        ref_position = reference - 1
+                    ref = int(position * reference / window_size)
+                    if ref >= reference:
+                        ref = reference - 1
                     base = row_of.get(event.event_type, unknown) * bins
-                    utility = flat[base + ref_position // bin_size]
-                    partition = int(ref_position / psize)
-                    if partition > top_part:
-                        partition = top_part
-                    append(utility <= thresholds[partition])
-            return out
+                    add_utility(flat[base + ref // bin_size])
+                    add_ref(ref)
+            return utilities, refs
 
-        # scale-up slow path (ws < N): batch-compute the covered bin
-        # ranges and reference positions, then average the covered cells
+        # scale up (ws < N - 1): batch-compute the covered bin ranges and
+        # reference positions, then average the covered cells
         spans = scaling.positions_to_bins_batch(
-            positions, window_size, self.table_reference, self.table_bin_size
+            positions, window_size, reference, bin_size
         )
-        ref_positions = scaling.reference_positions_batch(
-            positions, window_size, reference
-        )
-        for i, (event, position) in enumerate(zip(events, positions)):
-            first, last = spans[i]
+        for event, (first, last) in zip(events, spans):
             base = row_of.get(event.event_type, unknown) * bins
             if first == last:
-                utility = flat[base + first]
+                add_utility(flat[base + first])
             else:
                 span = flat[base + first : base + last + 1]
-                utility = round(sum(span) / len(span))
-            partition = int(ref_positions[i] / psize)
-            if partition > top_part:
-                partition = top_part
-            append(utility <= thresholds[partition])
-        return out
+                add_utility(round(sum(span) / len(span)))
+        return utilities, scaling.reference_positions_batch(
+            positions, window_size, reference
+        )
 
     def __repr__(self) -> str:
         return (

@@ -39,6 +39,13 @@ class UtilityModel:
     windows_trained: int = 0
     matches_trained: int = 0
 
+    def __post_init__(self) -> None:
+        # one N: the decision scales every position onto this model's
+        # reference window, so the table must be laid out on it too
+        table = (self.table.reference_size, self.table.bin_size)
+        if table != (self.reference_size, self.bin_size):
+            raise ValueError(f"table (N, bs) {table} differs from the model's")
+
     def utility(self, type_name: str, position: int, window_size: float) -> int:
         """``U(T, P)`` for an event at ``position`` of a window predicted
         to hold ``window_size`` events."""

@@ -88,7 +88,7 @@ def model_from_dict(payload: Mapping[str, Any]) -> UtilityModel:
     reference_size = payload["reference_size"]
     bin_size = payload["bin_size"]
     table = UtilityTable.from_matrix(
-        payload["utility_matrix"], type_names, bin_size=bin_size
+        payload["utility_matrix"], type_names, bin_size, reference_size=reference_size
     )
     shares = PositionShares(table.type_ids, reference_size, bin_size)
     # restore shares as one pseudo-observation carrying the exact means

@@ -145,19 +145,3 @@ def positions_to_bins_batch(
         out.append((min(first, top), min(max(last, first), top)))
     return out
 
-
-def partitions_batch(
-    reference_positions: Sequence[int],
-    partition_size: float,
-    partition_count: int,
-) -> List[int]:
-    """Partition index of every (already scaled) reference position.
-
-    Mirrors the scalar shedder's ``int(ref_pos / psize)`` with the
-    clamp into ``[0, partition_count)``.
-    """
-    top = partition_count - 1
-    return [
-        part if (part := int(ref_pos / partition_size)) <= top else top
-        for ref_pos in reference_positions
-    ]

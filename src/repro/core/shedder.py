@@ -10,7 +10,9 @@ single utility-table lookup plus a comparison -- O(1):
 
 Positions are scaled onto the model's reference window before both the
 lookup and the partition computation, which is what makes the shedder
-robust to variable window sizes (§3.6).
+robust to variable window sizes (§3.6).  The rule itself is computed in
+one place, :class:`~repro.core.kernel.SheddingKernel`; this class owns
+the drop command, the CDTs and the thresholds it derives from them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.cep.events import Event
-from repro.core import scaling
 from repro.core.cdt import CDT
 from repro.core.kernel import SheddingKernel
 from repro.core.model import UtilityModel
@@ -38,16 +39,8 @@ class ESpiceShedder(LoadShedder):
         self._cdts: List[CDT] = []
         self._thresholds: List[int] = []
         self._command: Optional[DropCommand] = None
-        # hot-path caches: direct row access and scalar parameters avoid
-        # per-decision attribute chains (the decision is O(1) and must
-        # also be cheap in constants, paper §3.5)
-        self._rows = model.table.rows_by_type()
-        self._reference = model.reference_size
-        self._bin_size = model.bin_size
-        self._partition_size = float(model.reference_size)
-        # the vectorized batch kernel is built lazily from the same
-        # model state; ``kernel_backend`` pins numpy/fallback (tests,
-        # benchmarks), None auto-detects
+        # the kernel is built lazily; ``kernel_backend`` pins
+        # numpy/fallback (tests, benchmarks), None auto-detects
         self._kernel_backend = kernel_backend
         self._kernel: Optional[SheddingKernel] = None
 
@@ -78,11 +71,10 @@ class ESpiceShedder(LoadShedder):
             self._cdts = self.model.partition_cdts(self._plan)
         self._command = command
         self._thresholds = [cdt.threshold_for(command.x) for cdt in self._cdts]
-        self._partition_size = self._plan.partition_size
         if self._kernel is not None:
             # thresholds are the only kernel state a command changes;
             # the flattened rows survive (they depend on the model only)
-            self._kernel.set_thresholds(self._thresholds, self._partition_size)
+            self._kernel.set_thresholds(self._thresholds, self._plan.partition_size)
 
     @property
     def thresholds(self) -> List[int]:
@@ -101,7 +93,7 @@ class ESpiceShedder(LoadShedder):
     def rebind_model(self, model: UtilityModel) -> None:
         """Atomically repoint the live shedder at a fresh model.
 
-        The hot-path caches and per-partition thresholds are rebuilt by
+        The kernel and per-partition thresholds are rebuilt by
         replaying the current drop command against the new model --
         decisions before and after the swap are each fully consistent
         with one model, and the shedder keeps serving O(1) decisions
@@ -110,13 +102,9 @@ class ESpiceShedder(LoadShedder):
         command = self._command
         was_active = self.active
         self.model = model
-        self._rows = model.table.rows_by_type()
-        self._reference = model.reference_size
-        self._bin_size = model.bin_size
         self._plan = None  # force partition/CDT rebuild
         self._cdts = []
         self._thresholds = []
-        self._partition_size = float(model.reference_size)
         # the flattened kernel arrays mirror the *old* model's utility
         # rows -- invalidate them with the swap, or a mid-batch swap
         # would keep deciding against stale utilities (the next batch
@@ -128,44 +116,7 @@ class ESpiceShedder(LoadShedder):
             self.activate()
 
     # ------------------------------------------------------------------
-    # per-event decision (Algorithm 2, lines 8-17)
-    # ------------------------------------------------------------------
-    def _decide(self, event: Event, position: int, predicted_ws: float) -> bool:
-        thresholds = self._thresholds
-        if not thresholds:
-            return False
-        reference = self._reference
-        window_size = predicted_ws if predicted_ws > 0 else reference
-
-        if window_size >= reference - 1.0:
-            # fast exact path: each window position covers at most one
-            # reference position (scale-down or identity)
-            if window_size <= reference + 1.0:
-                ref_position = position if position < reference else reference - 1
-            else:
-                ref_position = int(position * reference / window_size)
-                if ref_position >= reference:
-                    ref_position = reference - 1
-            row = self._rows.get(event.event_type)
-            utility = row[ref_position // self._bin_size] if row is not None else 0
-        else:
-            # scale-up (ws < N): a position covers several cells whose
-            # utilities are averaged (paper §3.6) -- precise slow path
-            utility = self.model.table.utility(
-                event.event_type, position, window_size
-            )
-            ref_position = int(
-                scaling.scale_position(position, window_size, reference)[0]
-            )
-
-        partition = int(ref_position / self._partition_size)
-        if partition >= len(thresholds):
-            partition = len(thresholds) - 1
-        return utility <= thresholds[partition]
-
-    # ------------------------------------------------------------------
-    # batched decision (vectorized kernel; bit-identical to the scalar
-    # path, property-tested)
+    # the decision (Algorithm 2, lines 8-17): one kernel pass per batch
     # ------------------------------------------------------------------
     def kernel(self) -> SheddingKernel:
         """The flattened batch kernel (built lazily from the live model).
@@ -179,13 +130,12 @@ class ESpiceShedder(LoadShedder):
             kernel = SheddingKernel(
                 rows=table.as_matrix(),
                 type_ids=table.type_ids,
-                reference=self._reference,
-                bin_size=self._bin_size,
-                table_reference=table.reference_size,
-                table_bin_size=table.bin_size,
+                reference=self.model.reference_size,
+                bin_size=self.model.bin_size,
                 backend=self._kernel_backend,
             )
-            kernel.set_thresholds(self._thresholds, self._partition_size)
+            if self._plan is not None:
+                kernel.set_thresholds(self._thresholds, self._plan.partition_size)
             self._kernel = kernel
         return kernel
 
@@ -195,35 +145,27 @@ class ESpiceShedder(LoadShedder):
         positions: Sequence[int],
         predicted_ws: float,
     ) -> List[bool]:
-        """Batched :meth:`should_drop`: one kernel pass per batch.
+        """Drop mask of a batch: one kernel pass.
 
-        Counter semantics match the scalar loop exactly: every pair
-        counts as a decision, every ``True`` as a drop.
+        Every pair of an active shedder counts as a decision, every
+        ``True`` as a drop -- with no drop command yet, nothing drops.
         """
         n = len(positions)
         if not self._active or n == 0:
             return [False] * n
         self.decisions += n
-        if not self._thresholds:
-            return [False] * n
         mask = self.kernel().decide(events, positions, predicted_ws)
         self.drops += mask.count(True)
         return mask
-
-    def threshold_for_partition(self, partition: int) -> int:
-        """``uth(part)`` (diagnostics, tests)."""
-        return self._thresholds[partition]
 
     # ------------------------------------------------------------------
     # shed-decision explainability (repro.obs)
     # ------------------------------------------------------------------
     def explain(self, event: Event, position: int, predicted_ws: float) -> dict:
-        """The exact inputs of :meth:`_decide` for this pair.
-
-        Re-derives utility, reference position, partition and the
-        threshold compared against -- the same arithmetic as the
-        decision, with no side effects -- plus the drop command in
-        force (``x``, ρ).  Attached to dropped windows' traces by the
+        """The exact inputs of the decision for this pair: utility and
+        partition from :meth:`SheddingKernel.explain` (no side effects),
+        the threshold compared against, and the drop command in force
+        (``x``, ρ).  Attached to dropped windows' traces by the
         observability layer.
         """
         explanation = {
@@ -236,31 +178,10 @@ class ESpiceShedder(LoadShedder):
             ),
             "drop_amount": self._command.x if self._command else None,
         }
-        thresholds = self._thresholds
-        if not thresholds:
+        if not self._thresholds:
             return explanation
-        reference = self._reference
-        window_size = predicted_ws if predicted_ws > 0 else reference
-        if window_size >= reference - 1.0:
-            if window_size <= reference + 1.0:
-                ref_position = position if position < reference else reference - 1
-            else:
-                ref_position = int(position * reference / window_size)
-                if ref_position >= reference:
-                    ref_position = reference - 1
-            row = self._rows.get(event.event_type)
-            utility = row[ref_position // self._bin_size] if row is not None else 0
-        else:
-            utility = self.model.table.utility(
-                event.event_type, position, window_size
-            )
-            ref_position = int(
-                scaling.scale_position(position, window_size, reference)[0]
-            )
-        partition = int(ref_position / self._partition_size)
-        if partition >= len(thresholds):
-            partition = len(thresholds) - 1
+        utility, partition = self.kernel().explain(event, position, predicted_ws)
         explanation["utility"] = float(utility)
-        explanation["threshold"] = float(thresholds[partition])
+        explanation["threshold"] = float(self._thresholds[partition])
         explanation["partition"] = partition
         return explanation

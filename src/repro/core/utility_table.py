@@ -10,7 +10,7 @@ number of distinct utility values (and hence the CDT size).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core import scaling
 
@@ -89,11 +89,15 @@ class UtilityTable:
         matrix: Sequence[Sequence[int]],
         type_names: Sequence[str],
         bin_size: int = 1,
+        reference_size: Optional[int] = None,
     ) -> "UtilityTable":
-        """Build directly from an explicit integer matrix (tests, Table 1)."""
+        """Build directly from an explicit integer matrix (tests, Table 1,
+        persisted models); ``reference_size`` defaults to
+        ``bins × bin_size`` (pass ``N`` when the last bin is partial)."""
         if len(matrix) != len(type_names):
             raise ValueError("one row per type name required")
-        reference_size = len(matrix[0]) * bin_size if matrix else bin_size
+        if reference_size is None:
+            reference_size = len(matrix[0]) * bin_size if matrix else bin_size
         type_ids = {name: i for i, name in enumerate(type_names)}
         table = cls(type_ids, reference_size, bin_size)
         for row_index, row in enumerate(matrix):
@@ -135,7 +139,9 @@ class UtilityTable:
         reference positions and bins.  When a position covers several
         bins (scale-up, ``ws < N``), the utility is the average of the
         covered cells (paper §3.6); an unknown type has utility 0 (no
-        evidence it ever contributed, hence safe to drop first).
+        evidence it ever contributed, hence safe to drop first).  The
+        drift detector's lookup, not the decision: it scales even inside
+        ``N ± 1``, where the kernel only clamps the position.
         """
         row_index = self.type_ids.get(type_name)
         if row_index is None:
@@ -166,8 +172,7 @@ class UtilityTable:
         """Live views of the rows keyed by type name.
 
         The returned lists are the table's own storage -- callers must
-        treat them as read-only.  Used by the load shedder's O(1) hot
-        path to skip per-decision indirection.
+        treat them as read-only (diagnostics, tests).
         """
         return {name: self._cells[i] for name, i in self.type_ids.items()}
 

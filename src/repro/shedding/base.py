@@ -2,9 +2,11 @@
 
 The overload detector issues :class:`DropCommand` objects ("drop ``x``
 events from every partition of every window"); the operator then asks
-the shedder, per (event, window) pair, whether to drop the event from
-that window.  The decision must be O(1) -- it runs on the hot path of a
-system that is already overloaded (paper §3.5).
+the shedder, for a batch of (event, window) pairs, whether to drop each
+event from its window.  The decision must be O(1) per pair -- it runs
+on the hot path of a system that is already overloaded (paper §3.5).
+eSPICE's rule lives in :mod:`repro.core.kernel`, held to the
+executable spec ``tests/core/espice_spec.py``.
 """
 
 from __future__ import annotations
@@ -67,43 +69,41 @@ class LoadShedder(abc.ABC):
     def on_drop_command(self, command: DropCommand) -> None:
         """Receive a new dropping amount from the overload detector."""
 
-    @abc.abstractmethod
-    def _decide(self, event: Event, position: int, predicted_ws: float) -> bool:
-        """The actual drop decision; True means drop."""
-
-    def should_drop(self, event: Event, position: int, predicted_ws: float) -> bool:
-        """Decide whether to drop ``event`` from the window where it sits
-        at (unshedded) ``position``; ``predicted_ws`` is the predicted
-        size of that window in events."""
-        if not self._active:
-            return False
-        self.decisions += 1
-        drop = self._decide(event, position, predicted_ws)
-        if drop:
-            self.drops += 1
-        return drop
-
     def should_drop_batch(
         self,
         events: Sequence[Event],
         positions: Sequence[int],
         predicted_ws: float,
     ) -> List[bool]:
-        """Drop decisions for a batch of (event, position) pairs.
+        """Drop decisions (True = drop) for a batch of (event, position)
+        pairs -- the decision contract every caller uses.
 
-        ``events[i]`` sits at position ``positions[i]`` of a window
-        predicted to span ``predicted_ws`` events (one shared prediction
-        -- the caller batches only pairs decided under the same
-        predictor state).  The default loops :meth:`should_drop`, so
-        every shedder -- including sampling shedders whose RNG sequence
-        must advance per decision -- behaves exactly as if consulted
-        per pair; shedders with a vectorized kernel override this.
+        ``events[i]`` sits at (unshedded) position ``positions[i]`` of a
+        window predicted to span ``predicted_ws`` events (one prediction
+        per batch).  Inactive: nothing drops and nothing counts.  The
+        default asks :meth:`_decide` once per pair, in order (sampling
+        shedders' RNG advances per decision); eSPICE overrides this
+        with its batch kernel.
         """
-        should_drop = self.should_drop
-        return [
-            should_drop(event, position, predicted_ws)
+        n = len(positions)
+        if not self._active or n == 0:
+            return [False] * n
+        decide = self._decide
+        mask = [
+            decide(event, position, predicted_ws)
             for event, position in zip(events, positions)
         ]
+        self.decisions += n
+        self.drops += mask.count(True)
+        return mask
+
+    def _decide(self, event: Event, position: int, predicted_ws: float) -> bool:
+        """Per-pair hook of the default :meth:`should_drop_batch`."""
+        raise NotImplementedError(f"{type(self).__name__}._decide")
+
+    def should_drop(self, event: Event, position: int, predicted_ws: float) -> bool:
+        """:meth:`should_drop_batch` for one pair."""
+        return self.should_drop_batch((event,), (position,), predicted_ws)[0]
 
     def explain(self, event: Event, position: int, predicted_ws: float) -> dict:
         """Why the last decision for this (event, window) pair went the

@@ -62,7 +62,7 @@ class BLShedder(LoadShedder):
         self._type_counts: Dict[str, int] = {}
         self._total_seen = 0
         self._drop_probability: Dict[str, float] = {}
-        self._default_weight = 1.0  # weight of a type never seen in training
+        self._default_scale = 0.0  # the plan's scale, for unplanned types
         self._pending: Optional[DropCommand] = None
 
     # ------------------------------------------------------------------
@@ -99,7 +99,9 @@ class BLShedder(LoadShedder):
     def _recompute_plan(self) -> None:
         """Water-fill per-type drop probabilities to meet the command."""
         command = self._pending
+        # a plan that drops nothing leaves no scale behind to drop at
         self._drop_probability = {}
+        self._default_scale = 0.0
         if command is None or command.per_window <= 0.0:
             return
         window_size = command.partition_size * command.partition_count
@@ -140,15 +142,13 @@ class BLShedder(LoadShedder):
             type_name: min(1.0, scale * weights[type_name])
             for type_name in populations
         }
-        # types first seen after planning drop at the scaled default weight
         self._default_scale = scale
 
     def drop_probability_of(self, type_name: str) -> float:
         """Planned drop probability for a type (diagnostics, tests)."""
         if type_name in self._drop_probability:
             return self._drop_probability[type_name]
-        scale = getattr(self, "_default_scale", 0.0)
-        return min(1.0, scale * self.sampling_weight(type_name))
+        return min(1.0, self._default_scale * self.sampling_weight(type_name))
 
     # ------------------------------------------------------------------
     # decision

@@ -85,6 +85,44 @@ class TestRoundtrip:
             )
         assert decisions[0] == decisions[1]
 
+    def test_reference_size_survives_a_partial_last_bin(self, tmp_path):
+        """Regression: with N = 10 and bin size 4 the last bin is
+        partial; the restored model must keep N = 10 (not 3 × 4 = 12),
+        or its scale-up lookups and drop masks change."""
+        from repro.cep.events import Event
+        from repro.core.model import UtilityModel
+        from repro.core.position_shares import PositionShares
+        from repro.core.utility_table import UtilityTable
+
+        table = UtilityTable({"A": 0, "B": 1}, reference_size=10, bin_size=4)
+        for type_name, row in (("A", [90, 10, 60]), ("B", [0, 100, 30])):
+            for bin_index, utility in enumerate(row):
+                table.set_cell(type_name, bin_index, utility)
+        model = UtilityModel(
+            table=table,
+            shares=PositionShares.uniform(table.type_ids, 10, 4),
+            reference_size=10,
+            bin_size=4,
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        restored = load_model(path)
+        assert restored.table.reference_size == 10
+        command = DropCommand(x=2.0, partition_count=2, partition_size=5.0)
+        for ws in (3.0, 5.0, 7.0, 10.0, 15.0):
+            events = [Event(t, 0, 0.0) for t in ("A", "B") for _ in range(int(ws))]
+            positions = [p for _ in ("A", "B") for p in range(int(ws))]
+            assert [
+                restored.utility(e.event_type, p, ws) for e, p in zip(events, positions)
+            ] == [model.utility(e.event_type, p, ws) for e, p in zip(events, positions)]
+            masks = []
+            for m in (model, restored):
+                shedder = ESpiceShedder(m)
+                shedder.on_drop_command(command)
+                shedder.activate()
+                masks.append(shedder.should_drop_batch(events, positions, ws))
+            assert masks[0] == masks[1], ws
+
     def test_cdt_identical(self, tmp_path):
         model = trained_model()
         path = tmp_path / "model.json"

@@ -120,7 +120,7 @@ class TestPartitions:
             DropCommand(x=4.0, partition_count=2, partition_size=5.0)
         )
         assert shedder.plan is first_plan  # partitioning unchanged
-        assert shedder.threshold_for_partition(0) >= 0
+        assert shedder.thresholds[0] >= 0
 
 
 class TestScaling:

@@ -20,16 +20,19 @@ class FixedShedder(LoadShedder):
 
 class TestTimingShedder:
     def test_delegates_decision(self):
+        events = [Event("A", i, 0.0) for i in range(3)]
         for decision in (True, False):
             timing = TimingShedder(FixedShedder(decision))
-            assert timing.should_drop(Event("A", 0, 0.0), 0, 10.0) is decision
+            assert timing.should_drop_batch(events, [0, 1, 2], 10.0) == [decision] * 3
 
     def test_accumulates_time(self):
         timing = TimingShedder(FixedShedder(True))
-        for i in range(100):
-            timing.should_drop(Event("A", i, 0.0), i, 10.0)
+        for i in range(10):
+            events = [Event("A", 10 * i + j, 0.0) for j in range(10)]
+            timing.should_drop_batch(events, list(range(10)), 10.0)
         assert timing.elapsed_ns > 0
         assert timing.decisions == 100
+        assert timing.drops == 100
 
     def test_forwards_commands(self):
         inner = FixedShedder(False)

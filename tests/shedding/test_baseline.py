@@ -94,6 +94,18 @@ class TestPlanning:
         shedder.activate()
         assert not shedder.should_drop(ev("X"), 0, 100.0)
 
+    def test_zero_command_after_a_plan_drops_nothing(self):
+        """Regression: x = 0 issued while active (queue above f·qmax but
+        the rate within throughput) must stop every drop, including the
+        fallback scale of the previous plan."""
+        shedder = warmed_shedder(seed=1)
+        shedder.on_drop_command(DropCommand(x=20.0, partition_count=1, partition_size=100.0))
+        shedder.on_drop_command(DropCommand(x=0.0, partition_count=1, partition_size=100.0))
+        shedder.activate()
+        events = [ev(t, i) for i, t in enumerate(["A", "B", "X", "NEW"] * 50)]
+        assert shedder.should_drop_batch(events, list(range(200)), 100.0) == [False] * 200
+        assert shedder.drop_probability_of("NEW") == 0.0
+
     def test_demand_capped_at_population(self):
         shedder = warmed_shedder()
         shedder.on_drop_command(
