@@ -18,14 +18,16 @@ History of the tracked number (best-of-3, soccer Q1 workload):
 - seed of the API redesign: **≈ +40%** chain overhead vs the direct
   operator;
 - after the cluster PR's hot-path work (prebound stage dispatch lists
-  in ``QueryChain``; ``__slots__`` on the per-event context objects,
-  today ``StageContext``/``QueuedItem``/``Memberships``/
-  ``AssignResult``/``ProcessResult`` -- ``WindowRef`` and ``Window``
-  are no longer built per event): **≈ +31%** measured on the same
-  workload;
-- after the micro-batch execution path (this tree, ``batch(64)``):
-  target **≤ +10%** -- in practice the batched chain tracks the
-  direct operator within noise.
+  in ``QueryChain``; ``__slots__`` on the per-event objects):
+  **≈ +31%** measured on the same workload;
+- after the micro-batch execution path (``batch(64)``): target
+  **≤ +10%** -- in practice the batched chain tracks the direct
+  operator within noise;
+- since the stage chain moves each micro-batch as parallel columns,
+  the only per-event objects on the path are the queue entry
+  (``QueuedItem``) and its ``Memberships`` view -- no per-event
+  context, assignment or result object -- and ``detect_all`` drives
+  the same batched operator body.
 
 Run ``python benchmarks/bench_pipeline.py --smoke`` for a quick
 CI-friendly check that batch-64 replay is not slower than batch-1

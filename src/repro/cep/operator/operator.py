@@ -9,29 +9,32 @@ It stores only what the load shedder took away.  A closed
 :class:`~repro.cep.windows.Window` already carries its full content in
 arrival order (the assigner slices it out of its arrival log, see
 :mod:`repro.cep.windows`), so the operator keeps no per-window copy of
-the events: per item it counts kept/dropped memberships from the drop
-mask and records the *dropped positions* per window id; at completion
-a window nothing was dropped from is matched as is, any other is
-filtered by its recorded positions first.  An unshedded event costs the
-operator O(1), however many windows it belongs to.
+the events: it records the *dropped positions* per window id; at
+completion a window nothing was dropped from is matched as is, any
+other is filtered by its recorded positions first.  An unshedded event
+costs the operator O(1), however many windows it belongs to.
 
-Processing is synchronous -- the discrete-event simulation runtime
-(:mod:`repro.runtime.simulation`) wraps it with virtual-time cost
-accounting; batch ground-truth runs call :meth:`CEPOperator.detect_all`
-directly.
+The operator works on *segments* -- runs of queue items no window
+completion interrupts -- as parallel columns: :meth:`decide_batch`
+takes every drop decision of a segment in one pass, and
+:meth:`apply_batch`, the one processing body, records the drops,
+completes the windows at the closing items and bumps the counters once.
+The stage chain, the virtual-time driver (:mod:`repro.runtime.simulation`)
+and the untimed :meth:`CEPOperator.detect_all` (ground truth, model
+training) all drive that body.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import compress
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import compress, repeat
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cep.events import ComplexEvent, Event
-from repro.cep.operator.queue import QueuedItem
+from repro.cep.operator.queue import QueuedItem, queue_items
 from repro.cep.patterns.matcher import Match
 from repro.cep.patterns.query import Query
-from repro.cep.windows import Window
+from repro.cep.windows import Window, assign_chunks
 
 # Listener signatures: (window with full unshedded content, matches found).
 WindowListener = Callable[[Window, List[Match]], None]
@@ -53,13 +56,24 @@ class OperatorStats:
         return self.memberships_dropped / total if total else 0.0
 
 
-@dataclass(slots=True)
-class ProcessResult:
-    """Outcome of processing one queue item (slotted: one per event)."""
+#: Drop decisions of a segment: per item a mask aligned with its refs
+#: (True = drop), or ``None`` when the segment dropped nothing at all.
+Drops = Optional[List[List[bool]]]
 
-    complex_events: List[ComplexEvent] = field(default_factory=list)
-    memberships_kept: int = 0
-    memberships_dropped: int = 0
+def segments(closes: Sequence[int], count: int) -> Iterator[Tuple[int, int, List[int]]]:
+    """Cut ``count`` items after every closing one, without scanning them.
+
+    Yields ``(start, end, closes)`` per segment, ``closes`` rebased to
+    the segment (``[end - 1 - start]``, or empty for an unclosed tail).
+    Completing a window moves the window-size predictor, so the drop
+    decisions of later items must not be taken before it completes.
+    """
+    start = 0
+    for close in closes:
+        yield start, close + 1, [close - start]
+        start = close + 1
+    if start < count:
+        yield start, count, []
 
 
 class CEPOperator:
@@ -135,9 +149,9 @@ class CEPOperator:
     # processing
     # ------------------------------------------------------------------
     def decide_batch(
-        self, items: List[QueuedItem], shedder: Optional[object] = None
-    ) -> List[Optional[List[bool]]]:
-        """Drop decisions (True = drop) for a batch of items in one pass.
+        self, items: Sequence[QueuedItem], shedder: Optional[object] = None
+    ) -> Drops:
+        """Drop decisions (True = drop) for a segment's items in one pass.
 
         All memberships of ``items`` are flattened into one
         (event, position) batch and resolved by the shedder's
@@ -146,70 +160,79 @@ class CEPOperator:
         then sliced back per item.  The caller must guarantee the
         predictor state is constant across ``items`` -- i.e. no window
         completes between them -- which is exactly the segment contract
-        of the pipeline's batched egress.
+        (see :func:`segments`).
 
         ``shedder`` overrides the operator's own shedder -- the
         pipeline's shedding stage owns the shedder and calls this
-        against an operator built without one.  An item's entry is
-        ``None`` when no shedding applies (every membership kept), so
-        :meth:`apply` can skip the per-ref zip entirely.
+        against an operator built without one.  Returns ``None`` when
+        no shedding applies or nothing was dropped, so
+        :meth:`apply_batch` skips the masks entirely.
         """
         shedder = shedder if shedder is not None else self.shedder
         if shedder is None or not getattr(shedder, "active", True):
-            return [None] * len(items)
-        predicted = self.predicted_window_size()
+            return None
         events: List[Event] = []
         positions: List[int] = []
         for item in items:
             refs = item.refs
-            events += [item.event] * len(refs)
+            events += repeat(item.event, len(refs.ids))
             positions += refs.positions()
-        mask = shedder.should_drop_batch(events, positions, predicted)
-        out: List[Optional[List[bool]]] = []
+        mask = shedder.should_drop_batch(events, positions, self.predicted_window_size())
+        if True not in mask:
+            return None
+        out: List[List[bool]] = []
         start = 0
         for item in items:
-            count = len(item.refs)
-            out.append(mask[start : start + count])
-            start += count
+            end = start + len(item.refs.ids)
+            out.append(mask[start:end])
+            start = end
         return out
 
-    def apply(
+    def apply_batch(
         self,
-        item: QueuedItem,
-        drops: Optional[List[bool]],
-        now: float = 0.0,
-    ) -> ProcessResult:
-        """Apply pre-made drop decisions, then complete closed windows.
+        items: Sequence[QueuedItem],
+        drops: Drops,
+        closes: Sequence[int],
+        nows: Sequence[float],
+    ) -> List[List[ComplexEvent]]:
+        """Apply a segment's drop decisions, then complete its closed windows.
 
-        ``drops`` aligns with ``item.refs``; ``None`` keeps everything.
-        Only dropped memberships are recorded (their positions, per
-        window id); kept ones are implied by the window's content.
-        Memberships are applied before window completion: a count-based
-        window closes *with* its final event, so that event's shedding
-        decision must land before the window is matched.  (Time-based
-        windows close before a later event and carry no membership for
-        it, so the order is safe for both.)
+        The one processing body.  ``drops`` is :meth:`decide_batch`'s
+        result for ``items``; ``closes`` indexes the items whose arrival
+        closed windows and ``nows`` is the items' clocks (a detection is
+        stamped with its closing item's).  Only dropped memberships are
+        recorded (their positions, per window id); kept ones are implied
+        by the window's content.  Every drop lands before any window
+        completes: a count-based window closes *with* its final event,
+        so that event's decision must count, and no item joins a window
+        an earlier item closed, so recording a later item's drops early
+        changes nothing.  Returns the detections per closing item,
+        aligned with ``closes``.
         """
-        refs = item.refs
-        kept = len(refs)
+        memberships = sum([len(item.refs.ids) for item in items])
         dropped = 0
-        if drops is not None and True in drops:
+        if drops is not None:
             excluded = self._excluded
-            index = refs.index
-            for window_id, start in compress(zip(refs.ids, refs.starts), drops):
-                excluded.setdefault(window_id, []).append(index - start)
-                dropped += 1
-            kept -= dropped
-
-        complex_events: List[ComplexEvent] = []
-        for window in item.closed_windows:
-            complex_events.extend(self._complete_window(window, now))
-
+            for item, mask in zip(items, drops):
+                if True in mask:
+                    refs = item.refs
+                    index = refs.index
+                    for window_id, start in compress(zip(refs.ids, refs.starts), mask):
+                        excluded.setdefault(window_id, []).append(index - start)
+                        dropped += 1
+        complete = self._complete_window
+        detections: List[List[ComplexEvent]] = []
+        for i in closes:
+            now = nows[i]
+            found: List[ComplexEvent] = []
+            for window in items[i].closed_windows:
+                found += complete(window, now)
+            detections.append(found)
         stats = self.stats
-        stats.events_processed += 1
-        stats.memberships_kept += kept
+        stats.events_processed += len(items)
+        stats.memberships_kept += memberships - dropped
         stats.memberships_dropped += dropped
-        return ProcessResult(complex_events, kept, dropped)
+        return detections
 
     def discard(self, item: QueuedItem) -> None:
         """Exclude an item that was assigned windows but never enqueued.
@@ -266,23 +289,23 @@ class CEPOperator:
     # batch (no queue, no timing) -- ground truth & model training
     # ------------------------------------------------------------------
     def detect_all(self, stream: Iterable[Event]) -> List[ComplexEvent]:
-        """Run the full pipeline over ``stream`` without timing.
+        """Run the full operator over ``stream`` without timing.
 
-        Window assignment, shedding (if a shedder is installed and
-        active) and matching happen inline.  Used for ground-truth
-        computation (without a shedder) and for model training.
+        Assign, segment, decide, apply -- the pipeline's egress over the
+        same bodies, with each event's timestamp as its clock: shedding
+        happens if a shedder is installed and active.  Used for
+        ground-truth computation (without a shedder) and for model
+        training.
         """
         assigner = self.query.new_assigner()
         out: List[ComplexEvent] = []
-        for event in stream:
-            assignment = assigner.on_event(event)
-            item = QueuedItem(
-                event=event,
-                refs=assignment.assignments,
-                closed_windows=assignment.closed,
-                enqueue_time=event.timestamp,
-            )
-            (drops,) = self.decide_batch([item])
-            out.extend(self.apply(item, drops, now=event.timestamp).complex_events)
+        for events, assignment in assign_chunks(assigner, stream):
+            nows = [event.timestamp for event in events]
+            items = queue_items(events, nows, assignment)
+            for start, end, part_closes in segments(assignment[1], len(items)):
+                part = items[start:end]
+                drops = self.decide_batch(part)
+                for found in self.apply_batch(part, drops, part_closes, nows[start:end]):
+                    out += found
         out.extend(self.flush(assigner.flush()))
         return out

@@ -15,28 +15,46 @@ size ``qsize`` (paper §3.4).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Iterator, List, Optional
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Deque, Iterator, List, Optional, Sequence
 
 from repro.cep.events import Event
-from repro.cep.windows import NO_MEMBERSHIPS, Memberships, Window
+from repro.cep.windows import NO_MEMBERSHIPS, Assignment, Memberships, Window
 
 
 @dataclass(slots=True)
 class QueuedItem:
     """One input-queue entry: an event plus its window bookkeeping.
 
-    Slotted: one instance exists per event on the hot path, and slots
-    cut both the allocation cost and the attribute-access cost of the
-    stage chain that threads it through.  ``refs`` is the assigner's
-    :class:`~repro.cep.windows.Memberships` view, so an item's size does
-    not grow with the number of windows its event belongs to.
+    Slotted: one instance exists per event on the hot path -- with its
+    ``refs`` view, the only per-event object the stage chain builds.
+    ``refs`` is the assigner's :class:`~repro.cep.windows.Memberships`
+    view, so an item's size does not grow with the number of windows its
+    event belongs to; ``closed_windows`` is the shared empty tuple for
+    the (overwhelmingly common) item whose arrival closed nothing.
     """
 
     event: Event
     refs: Memberships = NO_MEMBERSHIPS
-    closed_windows: List[Window] = field(default_factory=list)
+    closed_windows: Sequence[Window] = ()
     enqueue_time: float = 0.0
+
+
+def queue_items(
+    events: Sequence[Event], nows: Sequence[float], assignment: Assignment
+) -> List[QueuedItem]:
+    """The queue entries of an assigned batch, one per event.
+
+    ``assignment`` is :meth:`~repro.cep.windows.WindowAssigner.assign`'s
+    result for ``events``; ``nows`` are their enqueue times.  Only the
+    closing items get a list of closed windows.
+    """
+    refs, closes, closed = assignment
+    items = list(map(QueuedItem, events, refs, repeat(()), nows))
+    for i, windows in zip(closes, closed):
+        items[i].closed_windows = windows
+    return items
 
 
 class InputQueue:
@@ -65,12 +83,23 @@ class InputQueue:
         instead, which is what the paper's latency-bound machinery
         reacts to).
         """
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            self.total_rejected += 1
-            return False
-        self._items.append(item)
-        self.total_enqueued += 1
-        return True
+        return self.push_all([item]) == 1
+
+    def push_all(self, items: List[QueuedItem]) -> int:
+        """Enqueue ``items`` in order, in one step; returns how many fit.
+
+        Nothing drains in between, so once the queue is full every later
+        item is rejected too: the rejected ones are the suffix
+        ``items[accepted:]``.
+        """
+        accepted = len(items)
+        if self.capacity is not None:
+            accepted = max(0, min(accepted, self.capacity - len(self._items)))
+            self.total_rejected += len(items) - accepted
+            items = items[:accepted]
+        self._items.extend(items)
+        self.total_enqueued += accepted
+        return accepted
 
     def pop(self) -> QueuedItem:
         """Dequeue the oldest item (raises ``IndexError`` when empty)."""
@@ -85,22 +114,12 @@ class InputQueue:
         self.total_dequeued += count
         return items
 
-    def pop_all(self) -> List[QueuedItem]:
-        """Dequeue every item at once (the batched path's single drain).
-
-        One bulk operation instead of a pop-per-item loop; dequeue
-        accounting matches popping each item individually.
-        """
-        items = list(self._items)
-        self._items.clear()
-        self.total_dequeued += len(items)
-        return items
-
     def consume_all(self) -> int:
         """Dequeue everything without materialising the items.
 
-        For batched callers that already hold the items (they travel on
-        the stage contexts); returns how many were consumed.
+        For batched callers that already hold the items (they travel in
+        the stage batch's ``items`` column); returns how many were
+        consumed.
         """
         count = len(self._items)
         self._items.clear()

@@ -38,23 +38,29 @@ slice of the log, when it closes or is flushed.  The log is trimmed as
 its oldest open window closes, so it holds O(longest open span) events,
 not O(stream).
 
-Assigners are streaming objects: feed events one at a time with
-:meth:`WindowAssigner.on_event` and they report, per event, its
-memberships plus any windows that closed strictly before the event (a
-count-based window closes *with* its last event).  :func:`iter_windows`
-is a batch convenience used by ground-truth computation and model
-training.
+Assigners are streaming objects with one assignment body each,
+:meth:`WindowAssigner.assign`: it takes a micro-batch of events in
+arrival order and reports, per event, its memberships, plus -- sparsely,
+for the few events whose arrival closed windows -- the windows that
+closed strictly before the event (a count-based window closes *with*
+its last event).  :meth:`~WindowAssigner.on_event` and
+:meth:`~WindowAssigner.on_events` are per-event adapters over that
+body.  :func:`iter_windows` is a batch convenience used by ground-truth
+computation and model training.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cep.events import Event, EventStream
 
 _NEVER = math.inf
+#: Events :func:`assign_chunks` assigns per batch.
+_CHUNK = 256
 
 
 @dataclass(slots=True)
@@ -125,13 +131,23 @@ NO_MEMBERSHIPS = Memberships()
 
 @dataclass(slots=True)
 class AssignResult:
-    """Result of feeding one event to a :class:`WindowAssigner`.
+    """One event's share of :meth:`WindowAssigner.assign`: its memberships
+    and the windows its arrival closed.
 
-    Slotted: one instance per event (per chain) on the hot path.
+    Built only by the per-event adapters (:meth:`WindowAssigner.on_event`,
+    :meth:`WindowAssigner.on_events`); the stage chain reads the batched
+    body's columns directly.
     """
 
-    assignments: Memberships = NO_MEMBERSHIPS
-    closed: List["Window"] = field(default_factory=list)
+    assignments: Memberships
+    closed: List["Window"]
+
+
+#: What :meth:`WindowAssigner.assign` returns: the memberships of every
+#: event (aligned with the batch), the indices of the events whose
+#: arrival closed windows, and those windows per closing event (aligned
+#: with the indices).
+Assignment = Tuple[List[Memberships], List[int], List[List["Window"]]]
 
 
 @dataclass(slots=True)
@@ -293,21 +309,27 @@ class WindowAssigner:
             for window_id, (start, open_time, _expiry) in self._open.items()
         ]
 
-    def on_event(self, event: Event) -> AssignResult:
-        """Assign ``event``; report memberships and windows closed before it."""
+    def assign(self, events: Sequence[Event]) -> Assignment:
+        """Assign a micro-batch of events in arrival order: the one body.
+
+        Window membership is a pure streaming function, so a batch is a
+        loop with the state hoisted.  Closes are sparse: nothing is
+        built for an event whose arrival closed no window.
+        """
         raise NotImplementedError
 
-    def on_events(self, events: Iterable[Event]) -> List[AssignResult]:
-        """Assign a micro-batch of events in arrival order.
+    def on_event(self, event: Event) -> AssignResult:
+        """Assign ``event``; report memberships and windows closed before it."""
+        refs, closes, closed = self.assign((event,))
+        return AssignResult(refs[0], closed[0] if closes else [])
 
-        Window membership is a pure streaming function, so this is a
-        loop with the dispatch hoisted.  Results align with ``events``
-        one-to-one -- batched callers
-        (:meth:`repro.pipeline.stages.WindowAssignStage.process_batch`)
-        rely on that.
-        """
-        on_event = self.on_event
-        return [on_event(event) for event in events]
+    def on_events(self, events: Iterable[Event]) -> List[AssignResult]:
+        """Assign a micro-batch of events; one result per event, in order."""
+        refs, closes, closed = self.assign(list(events))
+        results = [AssignResult(r, []) for r in refs]
+        for index, windows in zip(closes, closed):
+            results[index].closed = windows
+        return results
 
     def flush(self) -> List[Window]:
         """Close and return every still-open window (end of stream).
@@ -355,16 +377,26 @@ class CountSlidingWindows(WindowAssigner):
             raise ValueError("slide must be positive")
         self._arrivals = 0
 
-    def on_event(self, event: Event) -> AssignResult:
-        index = self._base + len(self._log)
-        if self._arrivals % self.slide == 0:
-            self._open_window(index, event.timestamp, index + self.size - 1)
-        self._arrivals += 1
-        # slide > size leaves gaps in which no window is open
-        result = AssignResult(self._join(event, index))
-        if index >= self._min_expiry:
-            result.closed = self._close_expired(index, index + 1, event.timestamp)
-        return result
+    def assign(self, events: Sequence[Event]) -> Assignment:
+        refs: List[Memberships] = []
+        closes: List[int] = []
+        closed: List[List[Window]] = []
+        join = self._join
+        log = self._log
+        size, slide = self.size, self.slide
+        for i, event in enumerate(events):
+            index = self._base + len(log)
+            if self._arrivals % slide == 0:
+                self._open_window(index, event.timestamp, index + size - 1)
+            self._arrivals += 1
+            # slide > size leaves gaps in which no window is open
+            refs.append(join(event, index))
+            if index >= self._min_expiry:
+                windows = self._close_expired(index, index + 1, event.timestamp)
+                if windows:
+                    closes.append(i)
+                    closed.append(windows)
+        return refs, closes, closed
 
     def expected_window_size(self, stream_rate: float) -> float:
         return float(self.size)
@@ -399,15 +431,23 @@ class TimeSlidingWindows(WindowAssigner):
             self._open_window(index, open_time, open_time + self.duration)
             self._opened_upto += 1
 
-    def on_event(self, event: Event) -> AssignResult:
-        now = event.timestamp
-        index = self._base + len(self._log)
-        self._open_due_windows(now, index)
-        result = AssignResult()
-        if now >= self._min_expiry:
-            result.closed = self._close_expired(now, index, now)
-        result.assignments = self._join(event, index)
-        return result
+    def assign(self, events: Sequence[Event]) -> Assignment:
+        refs: List[Memberships] = []
+        closes: List[int] = []
+        closed: List[List[Window]] = []
+        join = self._join
+        log = self._log
+        for i, event in enumerate(events):
+            now = event.timestamp
+            index = self._base + len(log)
+            self._open_due_windows(now, index)
+            if now >= self._min_expiry:
+                windows = self._close_expired(now, index, now)
+                if windows:
+                    closes.append(i)
+                    closed.append(windows)
+            refs.append(join(event, index))
+        return refs, closes, closed
 
     def expected_window_size(self, stream_rate: float) -> float:
         return self.duration * stream_rate
@@ -465,35 +505,64 @@ class PredicateWindows(WindowAssigner):
         elif self.extent_events is not None:
             self._open_window(start, timestamp, start + self.extent_events)
 
-    def on_event(self, event: Event) -> AssignResult:
-        timestamp = event.timestamp
-        index = self._base + len(self._log)
-        now = timestamp if self.extent_seconds is not None else index
-        result = AssignResult()
-        if now >= self._min_expiry:
-            result.closed = self._close_expired(now, index, timestamp)
-        if self.open_predicate(event):
-            if len(self._open) >= self.max_open:
-                oldest = next(iter(self._open))
-                result.closed.append(
-                    self._close(oldest, index, timestamp, truncated=True)
-                )
-                self._trim()
-            if not self.include_opener:
-                # the new window starts at the next arrival: this
-                # event's memberships are taken before it opens
-                result.assignments = self._join(event, index)
-                self._open_from(index + 1, timestamp)
-                return result
-            self._open_from(index, timestamp)
-        result.assignments = self._join(event, index)
-        return result
+    def assign(self, events: Sequence[Event]) -> Assignment:
+        refs: List[Memberships] = []
+        closes: List[int] = []
+        closed: List[List[Window]] = []
+        join = self._join
+        log = self._log
+        open_set = self._open
+        by_time = self.extent_seconds is not None
+        opens = self.open_predicate
+        for i, event in enumerate(events):
+            timestamp = event.timestamp
+            index = self._base + len(log)
+            now = timestamp if by_time else index
+            windows: Optional[List[Window]] = None
+            if now >= self._min_expiry:
+                windows = self._close_expired(now, index, timestamp)
+            if not opens(event):
+                refs.append(join(event, index))
+            else:
+                if len(open_set) >= self.max_open:
+                    oldest = next(iter(open_set))
+                    forced = self._close(oldest, index, timestamp, truncated=True)
+                    windows = (windows or []) + [forced]
+                    self._trim()
+                if self.include_opener:
+                    self._open_from(index, timestamp)
+                    refs.append(join(event, index))
+                else:
+                    # the new window starts at the next arrival: this
+                    # event's memberships are taken before it opens
+                    refs.append(join(event, index))
+                    self._open_from(index + 1, timestamp)
+            if windows:
+                closes.append(i)
+                closed.append(windows)
+        return refs, closes, closed
 
     def expected_window_size(self, stream_rate: float) -> float:
         if self.extent_events is not None:
             return float(self.extent_events)
         assert self.extent_seconds is not None
         return self.extent_seconds * stream_rate
+
+
+def assign_chunks(
+    assigner: WindowAssigner, stream: Iterable[Event]
+) -> Iterator[Tuple[List[Event], Assignment]]:
+    """Drive ``assigner`` over ``stream`` in batches of ``_CHUNK`` events.
+
+    Yields each batch with its :meth:`WindowAssigner.assign` result, so
+    a whole-stream pass holds one batch's columns at a time.
+    """
+    events = iter(stream)
+    while True:
+        batch = list(islice(events, _CHUNK))
+        if not batch:
+            return
+        yield batch, assigner.assign(batch)
 
 
 def iter_windows(
@@ -504,11 +573,10 @@ def iter_windows(
     The assigner must be fresh (no events fed yet).  Windows still open
     at end of stream are flushed and yielded last.
     """
-    for event in stream:
-        for window in assigner.on_event(event).closed:
-            yield window
-    for window in assigner.flush():
-        yield window
+    for _events, (_refs, _closes, closed) in assign_chunks(assigner, stream):
+        for windows in closed:
+            yield from windows
+    yield from assigner.flush()
 
 
 def collect_windows(stream: EventStream, assigner: WindowAssigner) -> List[Window]:

@@ -514,16 +514,19 @@ class ShardedPipeline:
             # depth of the batch is not backlog
             assign_stage = chain.window_assign
             depth_before = assign_stage.max_queue_depth
-            items = []
+            queued = 0
+            ingested = []
             for piece in pieces:
-                chain.ingest_batch(piece)
-                items.extend(chain.queue.pop_all())
-            assign_stage.max_queue_depth = max(depth_before, 1 if items else 0)
+                ingested.append(chain.ingest_batch(piece))
+                queued += chain.queue.consume_all()
+            assign_stage.max_queue_depth = max(depth_before, 1 if queued else 0)
             per_shard: Dict[int, List[tuple]] = {}
-            for item in items:
-                for window in item.closed_windows:
-                    shard, entry = self._stamp(state, window)
-                    per_shard.setdefault(shard, []).append(entry)
+            for stage_batch in ingested:
+                items = stage_batch.items
+                for index in stage_batch.closes:
+                    for window in items[index].closed_windows:
+                        shard, entry = self._stamp(state, window)
+                        per_shard.setdefault(shard, []).append(entry)
             self._ship(state, per_shard)
         coordinator.events_ingested += len(batch.events)
         if self._in_flight:

@@ -123,11 +123,8 @@ def instrument_chain(chain, obs: Observability) -> None:
     emit_stage = chain.emit
     operator = chain.operator
 
-    def shed_after(ctx) -> None:
-        """Attach a shed explanation to every dropped membership."""
-        drops = ctx.drops
-        if not drops or True not in drops:
-            return
+    def shed_after(item, drops, now) -> None:
+        """Attach a shed explanation to every dropped membership of ``item``."""
         shedder = shed_stage.shedder
         detector = shed_stage.detector
         predicted = operator.predicted_window_size()
@@ -139,9 +136,8 @@ def instrument_chain(chain, obs: Observability) -> None:
         qsize = None
         if detector is not None and detector.samples:
             qsize = detector.samples[-1].qsize
-        event = ctx.event
-        now = ctx.now
-        for ref, drop in zip(ctx.item.refs, drops):
+        event = item.event
+        for ref, drop in zip(item.refs, drops):
             if not drop:
                 continue
             info = (
@@ -163,36 +159,24 @@ def instrument_chain(chain, obs: Observability) -> None:
                 ),
             )
 
-    def match_after(ctx) -> None:
-        """Trace closed windows; cheap no-op for non-closing items."""
-        item = ctx.item
-        if item is None:
-            return
-        closed = item.closed_windows
-        if not closed:
-            return
-        queue_wait_hist.pending.append(ctx.now - item.enqueue_time)
+    def match_after(item, now, found) -> None:
+        """Trace the windows a closing item completed."""
+        queue_wait_hist.pending.append(now - item.enqueue_time)
         matched: Dict[int, int] = {}
-        result = ctx.result
-        if result is not None:
-            for complex_event in result.complex_events:
-                wid = complex_event.window_id
-                matched[wid] = matched.get(wid, 0) + 1
-        for window in closed:
+        for complex_event in found:
+            wid = complex_event.window_id
+            matched[wid] = matched.get(wid, 0) + 1
+        for window in item.closed_windows:
             window_size_hist.pending.append(window.size)
             tracer.on_window_closed(
-                query, window, ctx.now, matches=matched.get(window.window_id, 0)
+                query, window, now, matches=matched.get(window.window_id, 0)
             )
 
-    def emit_after(ctx) -> None:
-        result = ctx.result
-        if result is None or not result.complex_events:
-            return
+    def emit_after(found, now) -> None:
         emitted: Dict[int, int] = {}
-        for complex_event in result.complex_events:
+        for complex_event in found:
             wid = complex_event.window_id
             emitted[wid] = emitted.get(wid, 0) + 1
-        now = ctx.now
         for wid, count in emitted.items():
             tracer.on_emitted(query, wid, now, count)
 
@@ -200,15 +184,13 @@ def instrument_chain(chain, obs: Observability) -> None:
     # rather than one wrapper per stage.  Three reasons, all measured
     # against the ≤2% budget at batch=64:
     #
-    # - per-context scans are gated on counter deltas the stages
-    #   already maintain (shedder drops, windows completed, emitted): a
-    #   batch in which nothing dropped, closed or emitted -- the
-    #   overwhelmingly common case -- costs one integer compare instead
-    #   of an O(batch) attribute-check loop.  All three deltas are
-    #   taken inside the egress composites, around the stage that moves
-    #   the counter: the queue may decouple ingress from egress (the
+    # - nothing is scanned per event: drop explanations visit only the
+    #   ``drops`` column of a batch the shedder dropped from (gated on
+    #   the shedder's drop counter), and window/emit traces only the
+    #   sparse ``closes`` index.  Both are read inside the egress
+    #   composites: the queue may decouple ingress from egress (the
     #   simulation driver processes items long after their arrival),
-    #   so nothing the ingress saw can gate an egress scan.
+    #   so nothing the ingress saw can stand in for them.
     # - consecutive stages share one ``perf_counter()`` timestamp (the
     #   end of stage N is the start of stage N+1), halving the clock
     #   reads and dropping four wrapper frames per batch.  After a rare
@@ -237,7 +219,7 @@ def instrument_chain(chain, obs: Observability) -> None:
     )
 
     def ingress_composite(batch, _steps=ingress_steps):
-        bs_append(len(batch.contexts))
+        bs_append(len(batch.events))
         if len(bs_pending) >= 4096:
             for h in hot_hists:
                 h.flush_pending()
@@ -252,7 +234,6 @@ def instrument_chain(chain, obs: Observability) -> None:
     shed_observe = stage_hist[id(shed_stage)].pending.append
     match_process = match_stage.process_batch
     match_observe = stage_hist[id(match_stage)].pending.append
-    operator_stats = operator.stats
     emit_process = emit_stage.process_batch
     emit_observe = stage_hist[id(emit_stage)].pending.append
     # custom egress stages appended after emit, if any
@@ -276,49 +257,32 @@ def instrument_chain(chain, obs: Observability) -> None:
 
     def apply_composite(batch, _tail=tail_steps):
         nonlocal dropped
-        contexts = batch.contexts
+        items = batch.items
+        nows = batch.nows
         # explanations are written here, not in decide, so they read the
         # clock the driver stamped between the halves
         if dropped:
             dropped = False
-            for ctx in contexts:
-                drops = ctx.drops
-                if drops and True in drops and not ctx.stopped:
-                    shed_after(ctx)
+            drops = batch.drops
+            if drops is not None:
+                for i, mask in enumerate(drops):
+                    if True in mask:
+                        shed_after(items[i], mask, nows[i])
         t0 = perf_counter()
-        closed_delta = -operator_stats.windows_completed
         match_process(batch)
-        closed_delta += operator_stats.windows_completed
         t1 = perf_counter()
         match_observe(t1 - t0)
         t0 = t1
-        emitted_before = emit_stage.emitted
         emit_process(batch)
         t1 = perf_counter()
         emit_observe(t1 - t0)
-        # one merged scan serves both hooks: detections only ever
-        # attach to the context whose item closed the window (the
-        # match stage iterates ``ctx.item.closed_windows``), so the
-        # emit candidates are a subset of the match candidates and the
-        # common non-closing context costs two loads and two tests.
-        # The counter deltas bound the scan (early exit once every
-        # close and every detection is accounted for).
-        emit_delta = emit_stage.emitted - emitted_before
-        if closed_delta > 0 or emit_delta > 0:
-            for ctx in contexts:
-                item = ctx.item
-                if item is None or not item.closed_windows:
-                    continue
-                if ctx.stopped:
-                    continue
-                match_after(ctx)
-                closed_delta -= len(item.closed_windows)
-                result = ctx.result
-                if result is not None and result.complex_events:
-                    emit_after(ctx)
-                    emit_delta -= len(result.complex_events)
-                if closed_delta <= 0 and emit_delta <= 0:
-                    break
+        closes = batch.closes
+        if closes:
+            for i, found in zip(closes, batch.detections):
+                now = nows[i]
+                match_after(items[i], now, found)
+                if found:
+                    emit_after(found, now)
             t1 = perf_counter()
         if _tail:
             t0 = t1

@@ -1,12 +1,20 @@
-"""Micro-batching of the pipeline's event path.
+"""Micro-batching of the pipeline's event path, as parallel columns.
 
-A stage chain pays interpreter constants -- stage dispatch, context
-allocation, queue round-trips -- once per batch it is handed.
-Micro-batching amortises them: events are accumulated into
-:class:`EventBatch` objects under the classic *size-or-linger* rule
-(mirroring :class:`repro.cluster.transport.BatchingSender`, but in
-event time so replays stay deterministic) and each stage processes the
-whole batch in one call (:meth:`repro.pipeline.stages.Stage.process_batch`).
+A stage chain pays interpreter constants -- stage dispatch, queue
+round-trips -- once per batch it is handed.  Micro-batching amortises
+them: events are accumulated into :class:`EventBatch` objects under the
+classic *size-or-linger* rule (mirroring
+:class:`repro.cluster.transport.BatchingSender`, but in event time so
+replays stay deterministic) and each stage processes the whole batch in
+one call (:meth:`repro.pipeline.stages.Stage.process_batch`).
+
+What travels through the chain is a :class:`StageBatch`: parallel
+columns (``events``, ``nows``, ``items``, ``drops``, ``stopped``) plus
+the sparse ``closes`` index of the items whose arrival closed windows
+and the detections per closing item.  The core stages loop columns;
+per event the chain builds only the queue entry and its memberships
+view.  A per-event :class:`~repro.pipeline.stages.StageContext` exists
+only for a user stage that asks for one (``StageBatch.contexts``).
 
 The batch is the only unit of execution: ``batch_size=1`` hands the
 same stage bodies batches of one event -- there is no other path.
@@ -18,9 +26,10 @@ across sizes {1, 2, 7, 64, 1000}).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.cep.events import Event
+from repro.cep.events import ComplexEvent, Event
+from repro.cep.operator.operator import Drops
 from repro.cep.operator.queue import QueuedItem
 from repro.pipeline.stages import StageContext
 
@@ -131,40 +140,104 @@ def iter_batches(
 
 
 class StageBatch:
-    """One :class:`EventBatch` threaded through a stage chain.
+    """One micro-batch threaded through a stage chain, as parallel columns.
 
-    Wraps the per-event :class:`StageContext` objects so a stage
-    processes them in one call: a stage vetoing an event marks its
-    context ``stopped`` and every later stage skips it (what the base
-    class makes of a custom stage's ``on_event`` returning ``False``).
+    Aligned with the batch's events, in stream order:
+
+    - ``events`` / ``nows``: each event and its clock (arrival time at
+      ingress, start time once the virtual-time driver priced it);
+    - ``stopped``: the veto marks, ``None`` while no stage vetoed
+      anything (:meth:`stop` creates them).
+
+    Filled by the window-assign stage and read by the egress:
+
+    - ``items``: the queue entries of the enqueued events, in order --
+      aligned with ``events`` unless an event was vetoed, so always on
+      an egress batch (:meth:`admitted`);
+    - ``closes``: the sparse indices of the items whose arrival closed
+      windows;
+    - ``drops``: the shedding stage's masks, one per item
+      (:data:`~repro.cep.operator.operator.Drops`: ``None`` when nothing
+      was dropped);
+    - ``detections``: the complex events per closing item, aligned with
+      ``closes`` (filled by the match stage).
     """
 
-    __slots__ = ("contexts",)
+    __slots__ = ("events", "nows", "stopped", "items", "drops", "closes", "detections")
 
-    def __init__(self, contexts: List[StageContext]) -> None:
-        self.contexts = contexts
+    def __init__(
+        self,
+        events: List[Event],
+        nows: List[float],
+        items: Optional[List[QueuedItem]] = None,
+        closes: Optional[List[int]] = None,
+    ) -> None:
+        self.events = events
+        self.nows = nows
+        self.stopped: Optional[List[bool]] = None
+        self.items: List[QueuedItem] = items if items is not None else []
+        self.closes: List[int] = closes if closes is not None else []
+        self.drops: Drops = None
+        self.detections: List[List[ComplexEvent]] = []
 
     @classmethod
     def from_events(cls, batch: EventBatch) -> "StageBatch":
-        return cls(
-            [
-                StageContext(event, now)
-                for event, now in zip(batch.events, batch.nows)
-            ]
-        )
-
-    @classmethod
-    def from_items(cls, items: Iterable[QueuedItem]) -> "StageBatch":
-        """Contexts for dequeued items, for an egress driver to run.
-
-        Each clock starts at 0.0: the driver stamps ``ctx.now`` with the
-        item's start once it knows it.
-        """
-        return cls([StageContext(item.event, 0.0, item) for item in items])
+        # the events column is the chain's own: an ingress stage may
+        # replace an event, and every chain of a fan-out reads ``batch``
+        return cls(list(batch.events), batch.nows)
 
     def __len__(self) -> int:
-        return len(self.contexts)
+        return len(self.events)
 
-    def live(self) -> Iterator[StageContext]:
-        """The contexts no stage has vetoed yet, in stream order."""
-        return (ctx for ctx in self.contexts if not ctx.stopped)
+    def stop(self, index: int) -> None:
+        """Veto event ``index``: every later stage skips it."""
+        stopped = self.stopped
+        if stopped is None:
+            stopped = self.stopped = [False] * len(self.events)
+        stopped[index] = True
+
+    def admitted(self) -> "StageBatch":
+        """The egress batch: the enqueued items, without the vetoed events."""
+        if self.stopped is None:
+            return self
+        items = self.items
+        return StageBatch(
+            [item.event for item in items],
+            [item.enqueue_time for item in items],
+            items,
+            self.closes,
+        )
+
+    @property
+    def complex_events(self) -> List[ComplexEvent]:
+        """Every detection of the batch, in order."""
+        detections = self.detections
+        if len(detections) == 1:
+            return detections[0]
+        return [complex_event for found in detections for complex_event in found]
+
+    @property
+    def contexts(self) -> List[StageContext]:
+        """One :class:`StageContext` per event, built from the columns.
+
+        For user stages that override ``process_batch`` and think per
+        event; the view is read-only (veto with :meth:`stop`).
+        """
+        return self.contexts_at(range(len(self.events)))
+
+    def contexts_at(self, indices: Sequence[int]) -> List[StageContext]:
+        """Contexts for the events at ``indices`` (in the given order)."""
+        events, nows, drops, stopped = self.events, self.nows, self.drops, self.stopped
+        items = self.items if len(self.items) == len(events) else None
+        found: Dict[int, List[ComplexEvent]] = dict(zip(self.closes, self.detections))
+        contexts: List[StageContext] = []
+        for i in indices:
+            ctx = StageContext(events[i], nows[i], items[i] if items else None)
+            if drops is not None:
+                ctx.drops = drops[i]
+            if stopped is not None:
+                ctx.stopped = stopped[i]
+            if i in found:
+                ctx.complex_events = found[i]
+            contexts.append(ctx)
+        return contexts

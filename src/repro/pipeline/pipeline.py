@@ -39,7 +39,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cep.events import ComplexEvent, Event, EventStream
-from repro.cep.operator.operator import CEPOperator
+from repro.cep.operator.operator import CEPOperator, segments
 from repro.cep.operator.queue import InputQueue
 from repro.cep.patterns.query import Query
 from repro.core.adaptive import AdaptiveController
@@ -139,9 +139,9 @@ class QueryChain:
     Built by :class:`repro.pipeline.builder.PipelineBuilder`; driven
     either by :class:`Pipeline` (live mode) or by the virtual-time
     simulation driver, both through the same entry points:
-    :meth:`ingest_batch` (:meth:`ingest` for one event), the egress
-    halves :meth:`decide` and :meth:`apply` (:meth:`process_batch`
-    runs both), :meth:`on_tick`, :meth:`flush`.
+    :meth:`ingest_batch`, the egress halves :meth:`decide` and
+    :meth:`apply` (:meth:`process_batch` runs both per segment),
+    :meth:`on_tick`, :meth:`flush`.
     """
 
     def __init__(
@@ -399,11 +399,6 @@ class QueryChain:
     # ------------------------------------------------------------------
     # event path (shared by live mode and the simulation driver)
     # ------------------------------------------------------------------
-    def ingest(self, event: Event, now: float) -> bool:
-        """Ingest one event; returns False when a stage vetoed it."""
-        stage_batch = self.ingest_batch(EventBatch([event], [now]))
-        return not stage_batch.contexts[0].stopped
-
     def ingest_batch(self, batch: EventBatch) -> StageBatch:
         """Run the ingress half over a micro-batch of arrivals.
 
@@ -427,9 +422,9 @@ class QueryChain:
     def decide(self, stage_batch: StageBatch) -> None:
         """Egress, first half: the shedding stage's drop decisions.
 
-        Fills ``ctx.drops``; nothing downstream of the decision has run,
-        so a driver may read the decisions (the virtual-time driver
-        prices the segment from them) before :meth:`apply`.
+        Fills the ``drops`` column; nothing downstream of the decision
+        has run, so a driver may read the decisions (the virtual-time
+        driver prices the segment from them) before :meth:`apply`.
         """
         self._decide_dispatch(stage_batch)
 
@@ -438,55 +433,56 @@ class QueryChain:
         for process_batch in self._apply_dispatch:
             process_batch(stage_batch)
 
-    def process_batch(self, stage_batch: StageBatch) -> None:
+    def process_batch(self, stage_batch: StageBatch) -> List[ComplexEvent]:
         """Run the egress half over an ingested micro-batch.
 
-        When per-event shedding decisions are live, the batch is split
-        into *segments* at window-closing items: completing a window
-        updates the window-size predictor and may fire listeners (drift
-        detection, adaptive retrain with a hot model swap), so the
-        decisions of later items must see that new state exactly as
+        Returns the batch's detections, in order.  The batch is split
+        into *segments* after its window-closing items: completing a
+        window updates the window-size predictor and may fire listeners
+        (drift detection, adaptive retrain with a hot model swap), so
+        the decisions of later items must see that new state exactly as
         they would one event at a time.  Within a segment no such state
         change can occur, and the shedding stage resolves every (event,
-        window) pair with one vectorized kernel pass.  Without live
-        shedding the whole batch is one segment.  Each segment is
+        window) pair with one vectorized kernel pass.  Each segment is
         decided, then applied.
         """
         self.queue.consume_all()  # the batch's items leave the queue as one drain
-        segments = self._segments(stage_batch) if self.shedding_live else [stage_batch]
-        for segment in segments:
+        found: List[ComplexEvent] = []
+        for segment in self._segments(stage_batch.admitted()):
             self.decide(segment)
             self.apply(segment)
+            found += segment.complex_events
+        return found
 
-    def run_batch(self, batch: EventBatch) -> StageBatch:
+    def run_batch(self, batch: EventBatch) -> List[ComplexEvent]:
         """Ingest and immediately drain one micro-batch (synchronous mode).
 
-        The queue exists only within this call, so the backpressure
-        metric is reconciled to its batch-of-one equivalent: interleaved
-        execution never sees more than one item queued, and the staging
-        depth of the batch must not masquerade as backlog.
+        Returns the batch's detections.  The queue exists only within
+        this call, so the backpressure metric is reconciled to its
+        batch-of-one equivalent: interleaved execution never sees more
+        than one item queued, and the staging depth of the batch must
+        not masquerade as backlog.
         """
         assign_stage = self.window_assign
         depth_before = assign_stage.max_queue_depth
         stage_batch = self.ingest_batch(batch)
         pushed = self.queue.size
-        self.process_batch(stage_batch)
+        found = self.process_batch(stage_batch)
         assign_stage.max_queue_depth = max(depth_before, 1 if pushed else 0)
-        return stage_batch
+        return found
 
     @staticmethod
     def _segments(stage_batch: StageBatch) -> List[StageBatch]:
-        """Split a batch after every item that closes windows."""
-        segments: List[StageBatch] = []
-        current: List = []
-        for ctx in stage_batch.contexts:
-            current.append(ctx)
-            if not ctx.stopped and ctx.item is not None and ctx.item.closed_windows:
-                segments.append(StageBatch(current))
-                current = []
-        if current:
-            segments.append(StageBatch(current))
-        return segments
+        """Split an egress batch after every item that closes windows."""
+        closes = stage_batch.closes
+        count = len(stage_batch.items)
+        if not closes or closes == [count - 1]:
+            return [stage_batch]
+        events, nows, items = stage_batch.events, stage_batch.nows, stage_batch.items
+        return [
+            StageBatch(events[start:end], nows[start:end], items[start:end], part_closes)
+            for start, end, part_closes in segments(closes, count)
+        ]
 
     def on_tick(self, now: float) -> None:
         """Periodic duty for every stage (detector checks, refills)."""
@@ -738,6 +734,14 @@ class Pipeline:
         observable tick duty ticks are no-ops, so ``_next_tick`` is
         stepped once for the run and no stage is called; whether duty
         is observable is asked only when a tick is due.
+
+        A stage's ``on_tick`` that raises loses the batch that was
+        pending when it raised -- the events the tick was due before,
+        at most a batch -- exactly like a stage that raises on a batch:
+        the pending batch is dropped before the error propagates, so a
+        caller resuming the same iterator starts an empty batch (a full
+        one left behind would give the next call no room to take
+        events).  The tick itself is retried at the next due event.
         """
         latest = max(nows) if len(nows) > 1 else nows[0]
         if latest > self._last_fed:
@@ -761,7 +765,11 @@ class Pipeline:
                     if i and self._next_tick is not None:
                         self._collect_batch(batcher.split(i), out)
                         nows, i = batcher.pending.nows, 0
-                    self._advance_ticks(at)
+                    try:
+                        self._advance_ticks(at)
+                    except BaseException:
+                        batcher.take()
+                        raise
                 i += 1
                 if linger > 0.0 and at - nows[0] >= linger:
                     self._collect_batch(batcher.split(i), out)
@@ -810,14 +818,9 @@ class Pipeline:
         if not batch:
             return
         for chain in self.chains:
-            stage_batch = chain.run_batch(batch)
-            if out is None:
-                continue
-            collected = out[chain.query.name]
-            for ctx in stage_batch.contexts:
-                result = ctx.result
-                if result is not None and result.complex_events:
-                    collected.extend(result.complex_events)
+            found = chain.run_batch(batch)
+            if out is not None and found:
+                out[chain.query.name].extend(found)
         self._events_fed += len(batch.events)
 
     def _advance_ticks(self, now: float) -> None:

@@ -10,8 +10,8 @@ frameworks, applied to a CEP operator)::
 
 The queue splits the chain into an *ingress* half (runs at arrival
 time: admission control, user middleware, window assignment, enqueue)
-and an *egress* half (runs when the operator picks the item up:
-shedding decision, pattern matching, emission).  Live feeds drain the
+and an *egress* half (runs when the operator picks the items up:
+shedding decisions, pattern matching, emission).  Live feeds drain the
 queue synchronously; the virtual-time simulation driver
 (:func:`repro.runtime.simulation.simulate_pipeline`) schedules the two
 halves itself, which is how the same chain serves both push-based
@@ -22,10 +22,16 @@ Every stage implements the common :class:`Stage` protocol --
 concerns (rate limiting, sampling, logging, ...) drop into the chain
 exactly like framework middleware.  ``process_batch`` is the one way an
 event moves through a chain: every driver hands stages a
-:class:`~repro.pipeline.batching.StageBatch` (a batch of one *is*
-per-event execution) and the core stages implement nothing else.  A
-user-written stage may implement the simpler per-event ``on_event``
-instead -- the base class adapts it, vetoes included;
+:class:`~repro.pipeline.batching.StageBatch` -- the micro-batch as
+parallel columns (a batch of one *is* per-event execution) -- and the
+core stages loop those columns: the window-assign stage assigns and
+enqueues the batch in one step, the shedding stage flattens the
+memberships of its items, the match and emit stages visit only the
+items that closed windows.  No per-event object is built beyond the
+queue entry and its memberships view.  A user-written stage may implement the simpler per-event
+``on_event(ctx)`` instead: the base class builds a
+:class:`StageContext` per live event for that stage alone and writes
+its vetoes and replaced events back into the columns;
 :class:`RateLimitStage`, :class:`SamplingStage` and
 :class:`LoggingStage` are ready-made examples.
 """
@@ -34,11 +40,11 @@ from __future__ import annotations
 
 import logging
 import random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.cep.events import ComplexEvent, Event
-from repro.cep.operator.operator import CEPOperator, ProcessResult
-from repro.cep.operator.queue import InputQueue, QueuedItem
+from repro.cep.operator.operator import CEPOperator
+from repro.cep.operator.queue import InputQueue, QueuedItem, queue_items
 from repro.cep.windows import Window, WindowAssigner
 from repro.core.overload import OverloadDetector
 from repro.shedding.base import LoadShedder
@@ -51,15 +57,19 @@ EventSink = Callable[[ComplexEvent], None]
 
 
 class StageContext:
-    """Mutable context threaded through the chain for one event.
+    """One event's view of a :class:`~repro.pipeline.batching.StageBatch`.
 
-    Ingress stages read/replace :attr:`event` and may veto it; the
-    window-assign stage fills :attr:`item`; egress stages fill
-    :attr:`drops` and :attr:`result`.  :attr:`stopped` is the veto
-    marker: once a stage stops a context, every later stage skips it.
+    Built from the batch's columns for user stages that think per event
+    (``on_event``, or ``StageBatch.contexts``): :attr:`event` and
+    :attr:`now`, the queue entry :attr:`item` once the window-assign
+    stage ran, the drop mask :attr:`drops` once the shedding stage ran
+    (``None``: nothing dropped) and the :attr:`complex_events` the item
+    completed once the match stage ran.  :attr:`stopped` is the veto
+    marker.  An ``on_event`` stage may replace :attr:`event` or return
+    ``False``; both are written back into the columns.
     """
 
-    __slots__ = ("event", "now", "item", "drops", "result", "stopped")
+    __slots__ = ("event", "now", "item", "drops", "complex_events", "stopped")
 
     def __init__(
         self,
@@ -71,7 +81,7 @@ class StageContext:
         self.now = now
         self.item = item
         self.drops: Optional[List[bool]] = None
-        self.result: Optional[ProcessResult] = None
+        self.complex_events: Sequence[ComplexEvent] = ()
         self.stopped = False
 
 
@@ -98,17 +108,27 @@ class Stage:
         return True
 
     def process_batch(self, batch: "StageBatch") -> None:
-        """Process a micro-batch of contexts (see :mod:`.batching`).
+        """Process a micro-batch (see :mod:`.batching`).
 
-        The default adapts :meth:`on_event`: it loops the batch's live
-        contexts in stream order and turns a veto into ``ctx.stopped``,
-        so custom stages that never heard of batching keep their exact
-        per-event semantics.  The core stages override this directly.
+        The default adapts :meth:`on_event`: it builds a context per
+        live event, in stream order, and writes a veto (``False``) and a
+        replaced ``ctx.event`` back into the batch's columns, so custom
+        stages that never heard of columns keep their exact per-event
+        semantics.  The core stages override this directly.
         """
+        stopped = batch.stopped
+        live: Sequence[int] = (
+            range(len(batch.events))
+            if stopped is None
+            else [i for i, vetoed in enumerate(stopped) if not vetoed]
+        )
+        events = batch.events
         on_event = self.on_event
-        for ctx in batch.contexts:
-            if not ctx.stopped and on_event(ctx) is False:
-                ctx.stopped = True
+        for i, ctx in zip(live, batch.contexts_at(live)):
+            if on_event(ctx) is False:
+                batch.stop(i)
+            elif ctx.event is not events[i]:
+                events[i] = ctx.event
 
     def on_tick(self, now: float) -> None:
         pass
@@ -145,22 +165,19 @@ class AdmissionStage(Stage):
         self.rejected = 0
 
     def process_batch(self, batch: "StageBatch") -> None:
-        contexts = batch.contexts
-        self.arrivals += len(contexts)
+        nows = batch.nows
+        self.arrivals += len(nows)
         capacity = self.capacity
-        detector = self.detector
-        if capacity is None and detector is None:
-            return
-        queue = self.queue
-        for ctx in contexts:
-            # the depth only moves between batches (enqueue is a later
-            # stage), which is why drivers hand a bounded chain batches
-            # of one
-            if capacity is not None and queue.size >= capacity:
-                self.rejected += 1
-                ctx.stopped = True
-            elif detector is not None:
-                detector.record_arrival(ctx.now)
+        # the depth only moves between batches (enqueue is a later
+        # stage), which is why drivers hand a bounded chain batches of
+        # one
+        if capacity is not None and self.queue.size >= capacity:
+            self.rejected += len(nows)
+            batch.stopped = [True] * len(nows)
+        elif self.detector is not None:
+            record = self.detector.record_arrival
+            for now in nows:
+                record(now)
 
     def metrics(self) -> Dict[str, object]:
         return {
@@ -176,8 +193,9 @@ class WindowAssignStage(Stage):
     Window membership is a pure function of the raw stream and happens
     *before* the queue -- the shedder later drops an event from
     individual windows, not from the stream -- so this stage converts
-    an event into a :class:`QueuedItem` carrying its memberships and
-    any windows its arrival closed, and pushes it onto the input queue.
+    each event into a :class:`QueuedItem` carrying its memberships and
+    any windows its arrival closed, and pushes the batch's items onto
+    the input queue.
     """
 
     name = "window_assign"
@@ -204,33 +222,41 @@ class WindowAssignStage(Stage):
         self.rejected = 0
         self.max_queue_depth = 0
 
-    def _enqueue(self, item: QueuedItem) -> bool:
-        if self.queue.push(item):
-            return True
-        self.rejected += 1
-        self.operator.discard(item)
-        return False
-
     def process_batch(self, batch: "StageBatch") -> None:
-        assign = self.assigner.on_event
-        enqueue = self._enqueue
-        memberships = 0
-        closed = 0
-        for ctx in batch.contexts:
-            if ctx.stopped:
-                continue
-            event = ctx.event
-            assignment = assign(event)
-            refs = assignment.assignments
-            ctx.item = item = QueuedItem(event, refs, assignment.closed, ctx.now)
-            memberships += len(refs.ids)
-            closed += len(assignment.closed)
-            if not enqueue(item):
-                ctx.stopped = True
-        self.assigned_memberships += memberships
-        self.windows_closed += closed
+        """Assign the batch's live events and enqueue their items in one step.
+
+        Fills the ``items`` column with the enqueued events' queue
+        entries and ``closes`` with the (sparse) indices of the items
+        whose arrival closed windows.
+        """
+        events = batch.events
+        nows = batch.nows
+        stopped = batch.stopped
+        live: Optional[List[int]] = None
+        if stopped is not None:
+            live = [i for i, vetoed in enumerate(stopped) if not vetoed]
+            events = [events[i] for i in live]
+            nows = [nows[i] for i in live]
+        assignment = self.assigner.assign(events)
+        items = queue_items(events, nows, assignment)
+        refs, closes, closed = assignment
+        self.assigned_memberships += sum([len(r.ids) for r in refs])
+        self.windows_closed += sum(map(len, closed))
+        accepted = self.queue.push_all(items)
+        if accepted < len(items):
+            # the full queue refused the suffix: those items are already
+            # in the assigner's arrival log, so the operator that will
+            # complete their windows is told to leave them out
+            for k in range(accepted, len(items)):
+                self.rejected += 1
+                self.operator.discard(items[k])
+                batch.stop(k if live is None else live[k])
+            del items[accepted:]
+            closes = [i for i in closes if i < accepted]
+        batch.items = items
+        batch.closes = closes
         # the queue only grows during ingress, so the depth after the
-        # last push is the batch's maximum
+        # push is the batch's maximum
         depth = self.queue.size
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
@@ -251,11 +277,11 @@ class WindowAssignStage(Stage):
 class SheddingStage(Stage):
     """Per-membership drop decisions plus overload-detector duty.
 
-    Owns the chain's load shedder and overload detector.  Per item it
+    Owns the chain's load shedder and overload detector.  Per batch it
     asks the shedder, per (event, window) membership, whether to drop
-    (an O(1) decision, paper §3.5) and records the verdicts on the
-    context for the match stage to apply.  Per tick it runs the
-    detector's periodic queue check (paper §3.4), which
+    (an O(1) decision, paper §3.5) and stores the verdicts in the
+    batch's ``drops`` column for the match stage to apply.  Per tick it
+    runs the detector's periodic queue check (paper §3.4), which
     activates/deactivates the shedder and renews its drop command.
     """
 
@@ -280,22 +306,14 @@ class SheddingStage(Stage):
         """Resolve every (event, window) pair of the batch in one pass.
 
         The caller guarantees one shared predictor state for the batch
-        (the chain splits batches at window completions), so a single
-        window-size prediction covers every pair and the shedder's
-        vectorized kernel resolves the whole drop mask at once.
+        (the chain cuts batches into segments at window completions), so
+        a single window-size prediction covers every pair and the
+        shedder's vectorized kernel resolves the whole drop mask at once.
         """
         shedder = self.shedder
         if shedder is None or not getattr(shedder, "active", True):
-            return  # nothing is dropped: ``ctx.drops`` stays None
-        contexts = batch.contexts
-        drops = iter(
-            self.operator.decide_batch(
-                [ctx.item for ctx in contexts if not ctx.stopped], shedder=shedder
-            )
-        )
-        for ctx in contexts:
-            if not ctx.stopped:
-                ctx.drops = next(drops)
+            return  # nothing is dropped: ``batch.drops`` stays None
+        batch.drops = self.operator.decide_batch(batch.items, shedder=shedder)
 
     def on_tick(self, now: float) -> None:
         if self.detector is not None and self.queue is not None:
@@ -316,9 +334,9 @@ class MatchStage(Stage):
     """The CEP operator: drop records and pattern matching.
 
     Hands the shedding stage's decisions to the operator (which records
-    the dropped positions per window) and, when the item closed
-    windows, runs the query's matcher over their kept contents to
-    produce complex events (:class:`ProcessResult` on the context).
+    the dropped positions per window) and, at the items that closed
+    windows, runs the query's matcher over their kept contents; the
+    complex events land in the batch's ``detections`` column.
     """
 
     name = "match"
@@ -329,10 +347,9 @@ class MatchStage(Stage):
         self.operator = operator
 
     def process_batch(self, batch: "StageBatch") -> None:
-        apply = self.operator.apply
-        for ctx in batch.contexts:
-            if not ctx.stopped:
-                ctx.result = apply(ctx.item, ctx.drops, now=ctx.now)
+        batch.detections = self.operator.apply_batch(
+            batch.items, batch.drops, batch.closes, batch.nows
+        )
 
     def flush(self, windows: List[Window], now: float) -> List[ComplexEvent]:
         """Complete still-open windows at end of stream."""
@@ -376,13 +393,9 @@ class EmitStage(Stage):
         self.sinks.append(sink)
 
     def process_batch(self, batch: "StageBatch") -> None:
-        dispatch = self.dispatch
-        for ctx in batch.contexts:
-            if ctx.stopped:
-                continue
-            result = ctx.result
-            if result is not None and result.complex_events:
-                dispatch(result.complex_events)
+        for found in batch.detections:
+            if found:
+                self.dispatch(found)
 
     def dispatch(self, complex_events: List[ComplexEvent]) -> None:
         """Record and fan out detections (also used by the flush path)."""

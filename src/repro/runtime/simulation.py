@@ -37,10 +37,11 @@ event:
   next start.
 - A segment runs as *decide, price, apply*: the shedding stage decides
   every membership (``QueryChain.decide``); the driver prices the items
-  from their kept counts (``start = max(free_at, enqueue_time)``,
-  ``free_at = start + cost``), stamps each context's clock with its
-  start and records latencies; then match, emit and the custom egress
-  stages run on the priced clock (``QueryChain.apply``).
+  from the ``items`` and ``drops`` columns (``start = max(free_at,
+  enqueue_time)``, ``free_at = start + cost``), makes the starts the
+  segment's ``nows`` column and records latencies; then match, emit and
+  the custom egress stages run on the priced clock
+  (``QueryChain.apply``).
 - The queue is not sampled while it runs ahead: ``max_queue_size`` and
   the window-assign stage's ``max_queue_depth`` are derived once every
   item that starts before a chunk's last arrival is priced.  The depth
@@ -81,6 +82,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Union
 from repro.cep.events import ComplexEvent, EventStream
 from repro.cep.operator.operator import OperatorStats
 from repro.cep.patterns.query import Query
+from repro.cep.windows import assign_chunks
 from repro.core.overload import OverloadDetector
 from repro.runtime.latency import LatencyTracker
 from repro.shedding.base import LoadShedder
@@ -97,10 +99,9 @@ def measure_mean_memberships(query: Query, stream: EventStream) -> float:
     A pure property of the raw stream (shedding does not change window
     assignment); used to calibrate the simulation's cost model.
     """
-    assigner = query.new_assigner()
     total = 0
-    for event in stream:
-        total += len(assigner.on_event(event).assignments)
+    for _events, (refs, _closes, _closed) in assign_chunks(query.new_assigner(), stream):
+        total += sum([len(r.ids) for r in refs])
     count = len(stream)
     return total / count if count else 1.0
 
@@ -334,8 +335,12 @@ def simulate_pipeline(
                 assign = chain.window_assign
                 peak = assign.max_queue_depth
                 chunk_depth[ci] = queues[ci].size
-                contexts = chain.ingest_batch(run).contexts
-                chunk_admitted[ci] = [not ctx.stopped for ctx in contexts]
+                stopped = chain.ingest_batch(run).stopped
+                chunk_admitted[ci] = (
+                    [True] * len(chunk_nows)
+                    if stopped is None
+                    else [not vetoed for vetoed in stopped]
+                )
                 assign.max_queue_depth = peak  # derived by _sample_chunk
             continue
 
@@ -353,44 +358,43 @@ def simulate_pipeline(
         live = chain.shedding_live
         worst_free = free_at[ci]
         count = 0
+        closes: List[int] = []
         for item in queue:
             start = max(worst_free, item.enqueue_time)
             if count and (start >= before or start > at_latest):
                 break
             count += 1
-            if live and item.closed_windows:
-                break  # the closed window moves the next decisions' predictor
+            if item.closed_windows:
+                closes.append(count - 1)
+                if live:
+                    break  # the closed window moves the next decisions' predictor
             worst_free = start + (idle_cost + slope * len(item.refs.ids))
-        segment = StageBatch.from_items(queue.take(count))
-        contexts = segment.contexts
+        items = queue.take(count)
+        segment = StageBatch([item.event for item in items], [], items, closes)
 
         chain.decide(segment)
+        drops = segment.drops
         at = free_at[ci]
+        starts = segment.nows
         done: List[float] = []
         waited: List[float] = []
-        starts = chunk_starts[ci]
-        for ctx in contexts:
-            item = ctx.item
+        for i, item in enumerate(items):
             enqueued = item.enqueue_time
-            ctx.now = start = max(at, enqueued)
+            start = at if at > enqueued else enqueued
             kept = len(item.refs.ids)
-            drops = ctx.drops
-            if drops:
-                kept -= drops.count(True)
+            if drops is not None:
+                kept -= drops[i].count(True)
             at = start + (idle_cost + slope * kept)
             starts.append(start)
             done.append(at)
             waited.append(at - enqueued)
+        chunk_starts[ci] += starts
         free_at[ci] = at
         now = max(now, start)
         latency[ci].extend(done, waited)
 
         chain.apply(segment)
-        found = complex_events[ci]
-        for ctx in contexts:
-            result = ctx.result
-            if result is not None and result.complex_events:
-                found.extend(result.complex_events)
+        complex_events[ci] += segment.complex_events
 
     _sample_chunk()
     # end of stream: flush still-open windows

@@ -1,15 +1,10 @@
-"""Opt-in paper-scale run (windows of ~2000 events, as in the paper).
+"""Paper-scale run (windows of ~2000 events, as in the paper).
 
-The default workloads scale window sizes down ~10x for pure-Python
-speed; this test verifies nothing breaks at the paper's actual scale.
-It takes minutes, so it only runs when explicitly requested::
-
-    REPRO_PAPER_SCALE=1 pytest tests/integration/test_paper_scale.py
+The default workloads scale window sizes down ~10x; this test verifies
+nothing breaks at the paper's actual scale.  It takes a second or two,
+and its ~2000-event windows are the largest segments the virtual-time
+driver prices.
 """
-
-import os
-
-import pytest
 
 from repro.datasets.io import split_stream
 from repro.datasets.stock import StockStreamConfig, generate_stock_stream
@@ -17,13 +12,7 @@ from repro.experiments.common import ExperimentConfig, run_quality_point
 from repro.queries import build_q2
 from repro.runtime.quality import ground_truth
 
-paper_scale = pytest.mark.skipif(
-    not os.environ.get("REPRO_PAPER_SCALE"),
-    reason="paper-scale run is opt-in (set REPRO_PAPER_SCALE=1)",
-)
 
-
-@paper_scale
 def test_q2_at_paper_scale():
     # 500 symbols at 1 quote/min: a 240 s window holds ~2000 events
     stream = generate_stock_stream(

@@ -7,6 +7,7 @@ from repro.cep.patterns import seq, spec
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows
 from repro.pipeline import (
+    EventBatch,
     LoggingStage,
     Pipeline,
     RateLimitStage,
@@ -172,7 +173,7 @@ class TestBackpressure:
         chain = pipeline.chains[0]
         # drive the sim-facing surface directly: ingest without draining
         for i, event in enumerate(toy_stream(10)):
-            chain.ingest(event, now=float(i))
+            chain.ingest_batch(EventBatch([event], [float(i)]))
         assert chain.queue.size == 5
         assert chain.admission.rejected == 40 - 5
         report = pipeline.backpressure()["toy"]
@@ -182,6 +183,6 @@ class TestBackpressure:
     def test_unbounded_queue_never_rejects(self):
         chain = Pipeline.builder().query(toy_query()).build().chains[0]
         for i, event in enumerate(toy_stream(10)):
-            chain.ingest(event, now=float(i))
+            chain.ingest_batch(EventBatch([event], [float(i)]))
         assert chain.queue.size == 40
         assert chain.admission.rejected == 0

@@ -18,9 +18,7 @@ import math
 from typing import Dict, List, Mapping, Optional, Union
 
 from repro.cep.events import ComplexEvent, EventStream
-from repro.cep.operator.operator import ProcessResult
 from repro.pipeline.batching import EventBatch, StageBatch
-from repro.pipeline.stages import StageContext
 from repro.runtime.latency import LatencyTracker
 from repro.runtime.simulation import (
     SimulationConfig,
@@ -158,17 +156,21 @@ def reference_simulate_pipeline(
         item = chain.queue.pop()
         start = max(free_at[process_chain], item.enqueue_time)
         # the one-item egress (formerly QueryChain.process_item)
-        ctx = StageContext(item.event, start, item)
-        stage_batch = StageBatch([ctx])
+        stage_batch = StageBatch(
+            [item.event], [start], [item], [0] if item.closed_windows else []
+        )
         chain.decide(stage_batch)
         chain.apply(stage_batch)
-        result = ctx.result if ctx.result is not None else ProcessResult()
-        cost = idle_cost + membership_cost[process_chain] * result.memberships_kept
+        drops = stage_batch.drops
+        memberships_kept = len(item.refs) - (
+            drops[0].count(True) if drops is not None else 0
+        )
+        cost = idle_cost + membership_cost[process_chain] * memberships_kept
         free_at[process_chain] = start + cost
         latency[process_chain].record(
             free_at[process_chain], free_at[process_chain] - item.enqueue_time
         )
-        complex_events[process_chain].extend(result.complex_events)
+        complex_events[process_chain].extend(stage_batch.complex_events)
 
     # end of stream: flush still-open windows
     results: Dict[str, SimulationResult] = {}
