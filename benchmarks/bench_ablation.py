@@ -5,21 +5,35 @@
 3. Position shares vs full-occurrence counting in the CDT.
 """
 
-from repro.experiments.ablation import (
-    ablation_f_sweep,
-    ablation_partitioning,
-    ablation_position_shares,
-)
+from dataclasses import replace
+
+from repro.experiments.ablation import ablation_position_shares
+from repro.experiments.figures import FIGURES, PARTITIONINGS
+from repro.experiments.grid import GridRunner
+
+
+def _row(name, pattern_size):
+    spec = FIGURES[name]
+    query = spec.query.with_(pattern_size=pattern_size)
+    return GridRunner().run(replace(spec, query=query))
+
+
+def ablation_partitioning(pattern_size):
+    return _row("ablation_partitioning", pattern_size)
+
+
+def ablation_f_sweep(pattern_size):
+    return _row("ablation_f", pattern_size)
 
 
 def test_ablation_partitioning(report):
     # severe overload: the regime where the partition size is the
     # quality dial (see the runner's docstring)
     result = report(lambda: ablation_partitioning(pattern_size=4), _rows)
-    by_label = {row.label: row for row in result.rows_data}
+    by_label = {PARTITIONINGS[row.x]: row for row in result.points}
     paper = by_label["paper (buffer-derived rho)"]
     # the paper's buffer-derived partitioning keeps the latency bound
-    assert paper.latency_violations == 0
+    assert paper.latency.violations == 0
     # degenerate per-position partitions destroy the quality advantage:
     # each single-position partition must shed regardless of utility
     finest = by_label["per-position partitions (rho=N)"]
@@ -28,10 +42,10 @@ def test_ablation_partitioning(report):
 
 def test_ablation_f_sweep(report):
     result = report(lambda: ablation_f_sweep(pattern_size=4), _rows)
-    assert len(result.rows_data) == 6
+    assert len(result.points) == 6
     # every f in the sweep must keep the latency bound; the trade-off
     # shows up in quality/drop aggressiveness, not in violations
-    assert all(row.latency_violations == 0 for row in result.rows_data)
+    assert all(row.latency.violations == 0 for row in result.points)
 
 
 def test_ablation_position_shares(report):

@@ -16,11 +16,10 @@ two regimes expose *why*:
   at non-contributing *positions* and keeps most matches.
 """
 
-from repro.experiments import workloads
-from repro.experiments.common import ExperimentConfig, run_quality_point
-from repro.experiments.fig5 import QualityFigure, QualitySeriesPoint
-from repro.queries import build_q1
-from repro.runtime.quality import ground_truth
+from dataclasses import replace
+
+from repro.experiments.figures import FIGURES
+from repro.experiments.grid import GridRunner
 
 STRATEGIES = ("espice", "bl", "bl-integral", "random")
 MODERATE = 1.2
@@ -28,34 +27,30 @@ SEVERE = 2.5
 
 
 def run_comparison(rates=(MODERATE, SEVERE), pattern_size=6):
-    train, eval_stream = workloads.soccer_streams()
-    query = build_q1(pattern_size)
-    truth = ground_truth(query, eval_stream)
-    config = ExperimentConfig()
-    figure = QualityFigure(title="All shedders, Q1", x_label="rate")
-    for rate in rates:
-        for strategy in STRATEGIES:
-            outcome = run_quality_point(
-                query, train, eval_stream, strategy, rate, config, truth
-            )
-            figure.points.append(QualitySeriesPoint(rate, strategy, rate, outcome))
-    return figure
+    spec = replace(
+        FIGURES["fig5_q1_first"],
+        title="All shedders, Q1",
+        xs=(pattern_size,),
+        strategies=STRATEGIES,
+        rates=rates,
+    )
+    return GridRunner().run(spec)
 
 
 def test_strategy_ordering(report):
     def describe(figure):
         lines = ["All shedders on Q1 (n=6):"]
         extra = {}
-        for point in sorted(figure.points, key=lambda p: (p.x, p.strategy)):
+        for point in sorted(figure.points, key=lambda p: (p.rate_factor, p.strategy)):
             lines.append(
-                f"  R={point.x:<4} {point.strategy:<12} FN={point.fn_pct:5.1f}%  "
-                f"FP={point.fp_pct:5.1f}%  drop={100 * point.outcome.drop_ratio:4.1f}%"
+                f"  R={point.rate_factor:<4} {point.strategy:<12} FN={point.fn_pct:5.1f}%  "
+                f"FP={point.fp_pct:5.1f}%  drop={100 * point.drop_ratio:4.1f}%"
             )
-            extra[f"fn_{point.strategy}_r{point.x}"] = round(point.fn_pct, 1)
+            extra[f"fn_{point.strategy}_r{point.rate_factor}"] = round(point.fn_pct, 1)
         return "\n".join(lines), extra
 
     figure = report(run_comparison, describe)
-    by_key = {(p.x, p.strategy): p for p in figure.points}
+    by_key = {(p.rate_factor, p.strategy): p for p in figure.points}
 
     # moderate overload: eSPICE beats the paper's BL and random;
     # integral gets a free ride on the irrelevant-type pool

@@ -4,10 +4,17 @@ Paper shape: eSPICE well below BL at every pattern size (up to 5--7x),
 both rising with the pattern size and with the input rate.
 """
 
-from repro.cep.patterns.policies import SelectionPolicy
-from repro.experiments.fig5 import fig5_q1
+from dataclasses import replace
+
+from repro.experiments.figures import FIGURES
+from repro.experiments.grid import GridRunner
 
 PATTERN_SIZES = (2, 3, 4, 5, 6)
+
+
+def fig5_q1(selection):
+    spec = FIGURES[f"fig5_q1_{selection}"]
+    return GridRunner().run(replace(spec, xs=PATTERN_SIZES))
 
 
 def _describe(figure):
@@ -20,12 +27,12 @@ def _describe(figure):
                 ratio = bl[x] / espice[x]
                 worst_ratio = min(worst_ratio or ratio, ratio)
     extra = {"min_bl_over_espice": worst_ratio}
-    return figure.rows("fn"), extra
+    return figure.rows(), extra
 
 
 def test_fig5a_q1_first_selection(report):
     figure = report(
-        lambda: fig5_q1(PATTERN_SIZES, SelectionPolicy.FIRST), _describe
+        lambda: fig5_q1("first"), _describe
     )
     for rate in (1.2, 1.4):
         espice = figure.series("espice", rate)
@@ -39,7 +46,7 @@ def test_fig5a_q1_first_selection(report):
 
 def test_fig5b_q1_last_selection(report):
     figure = report(
-        lambda: fig5_q1(PATTERN_SIZES, SelectionPolicy.LAST), _describe
+        lambda: fig5_q1("last"), _describe
     )
     for rate in (1.2, 1.4):
         for e_point, b_point in zip(

@@ -4,10 +4,17 @@ Paper shape: eSPICE an order of magnitude below BL (up to 30x at R1),
 similar for both selection policies.
 """
 
-from repro.cep.patterns.policies import SelectionPolicy
-from repro.experiments.fig5 import fig5_q2
+from dataclasses import replace
+
+from repro.experiments.figures import FIGURES
+from repro.experiments.grid import GridRunner
 
 PATTERN_SIZES = (5, 10, 15, 20, 25)
+
+
+def fig5_q2(selection):
+    spec = FIGURES[f"fig5_q2_{selection}"]
+    return GridRunner().run(replace(spec, xs=PATTERN_SIZES))
 
 
 def _describe(figure):
@@ -18,12 +25,12 @@ def _describe(figure):
         for x in espice:
             ratio = bl[x] / max(espice[x], 0.1)
             best_ratio = max(best_ratio, ratio)
-    return figure.rows("fn"), {"max_bl_over_espice": best_ratio}
+    return figure.rows(), {"max_bl_over_espice": best_ratio}
 
 
 def test_fig5c_q2_first_selection(report):
     figure = report(
-        lambda: fig5_q2(PATTERN_SIZES, SelectionPolicy.FIRST), _describe
+        lambda: fig5_q2("first"), _describe
     )
     for rate in (1.2, 1.4):
         espice = figure.series("espice", rate)
@@ -37,7 +44,7 @@ def test_fig5c_q2_first_selection(report):
 
 def test_fig5d_q2_last_selection(report):
     figure = report(
-        lambda: fig5_q2(PATTERN_SIZES, SelectionPolicy.LAST), _describe
+        lambda: fig5_q2("last"), _describe
     )
     for rate in (1.2, 1.4):
         for e_point, b_point in zip(

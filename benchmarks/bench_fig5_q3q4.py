@@ -4,16 +4,27 @@ Paper shape: eSPICE near zero for exact-sequence operators (with and
 without repetition); BL large.  Repetition (Q4) does not hurt eSPICE.
 """
 
-from repro.experiments.fig5 import fig5_q3, fig5_q4
+from dataclasses import replace
+
+from repro.experiments.figures import FIGURES
+from repro.experiments.grid import GridRunner
 
 Q3_WINDOWS = (100, 200, 300, 400)
 Q4_WINDOWS = (300, 400, 500, 600)
 
 
+def fig5_q3(window_sizes):
+    return GridRunner().run(replace(FIGURES["fig5_q3"], xs=window_sizes))
+
+
+def fig5_q4(window_sizes):
+    return GridRunner().run(replace(FIGURES["fig5_q4"], xs=window_sizes))
+
+
 def _describe(figure):
     espice_max = max(p.fn_pct for p in figure.points if p.strategy == "espice")
     bl_min = min(p.fn_pct for p in figure.points if p.strategy == "bl")
-    return figure.rows("fn"), {"espice_max_fn": espice_max, "bl_min_fn": bl_min}
+    return figure.rows(), {"espice_max_fn": espice_max, "bl_min_fn": bl_min}
 
 
 def test_fig5e_q3_sequence(report):

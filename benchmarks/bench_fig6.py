@@ -5,16 +5,27 @@ substitutions create new, wrong matches); Q3 false positives are ~zero
 for eSPICE while BL's grow with the window size.
 """
 
-from repro.experiments.fig6 import fig6_q1, fig6_q3
+from dataclasses import replace
+
+from repro.experiments.figures import FIGURES
+from repro.experiments.grid import GridRunner
 
 Q1_PATTERN_SIZES = (2, 3, 4, 5, 6)
 Q3_WINDOWS = (100, 200, 300, 400)
 
 
+def fig6_q1(pattern_sizes):
+    return GridRunner().run(replace(FIGURES["fig6_q1"], xs=pattern_sizes))
+
+
+def fig6_q3(window_sizes):
+    return GridRunner().run(replace(FIGURES["fig6_q3"], xs=window_sizes))
+
+
 def _describe(figure):
     espice_max = max(p.fp_pct for p in figure.points if p.strategy == "espice")
     bl_max = max(p.fp_pct for p in figure.points if p.strategy == "bl")
-    return figure.rows("fp"), {"espice_max_fp": espice_max, "bl_max_fp": bl_max}
+    return figure.rows(), {"espice_max_fp": espice_max, "bl_max_fp": bl_max}
 
 
 def test_fig6a_q1_false_positives(report):

@@ -5,39 +5,47 @@ event latency around ``f * LB`` once shedding engages; without any
 shedder the bound is blown.
 """
 
-from repro.experiments.common import ExperimentConfig
-from repro.experiments.fig7 import fig7_latency
+from dataclasses import replace
+
+from repro.experiments.figures import FIGURES
+from repro.experiments.grid import GridRunner
+
+
+def fig7_latency(pattern_size, **changes):
+    spec = replace(FIGURES["fig7"], xs=(pattern_size,), **changes)
+    return GridRunner().run(spec)
 
 
 def _describe(result):
     lines = [result.rows(), "", "timeline (1s buckets, mean latency ms):"]
-    for run in result.runs:
+    for run in result.points:
         series = "  ".join(
             f"{t:.0f}s:{latency * 1000:.0f}" for t, latency in run.timeline[:12]
         )
         lines.append(f"  R={run.rate_factor:.1f}: {series}")
     extra = {
-        f"violations_r{run.rate_factor:.1f}": run.stats.violations
-        for run in result.runs
+        f"violations_r{run.rate_factor:.1f}": run.latency.violations
+        for run in result.points
     }
     return "\n".join(lines), extra
 
 
 def test_fig7_espice_keeps_latency_bound(report):
     result = report(lambda: fig7_latency(pattern_size=4), _describe)
-    assert len(result.runs) == 2
-    for run in result.runs:
+    config = result.spec.config
+    assert len(result.points) == 2
+    for run in result.points:
         # the headline claim: the latency bound is never violated
-        assert run.stats.violations == 0
-        assert run.stats.maximum <= result.latency_bound
+        assert run.latency.violations == 0
+        assert run.latency.maximum <= config.latency_bound
         # and the system actually operated near the bound (not idle):
         # peak latency beyond half of f*LB shows real queueing pressure
-        assert run.stats.maximum > 0.25 * result.f * result.latency_bound
+        assert run.latency.maximum > 0.25 * config.f * config.latency_bound
 
 
 def test_fig7_no_shedding_violates_bound(report):
     result = report(
-        lambda: fig7_latency(pattern_size=4, rates=(1.2,), strategy="none"),
+        lambda: fig7_latency(pattern_size=4, rates=(1.2,), strategies=("none",)),
         _describe,
     )
-    assert result.runs[0].stats.violations > 0
+    assert result.points[0].latency.violations > 0

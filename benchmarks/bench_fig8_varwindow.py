@@ -5,12 +5,38 @@ size differs from the reference size N, and Q2 (longer pattern, more
 window-spanning utilities) is more sensitive than Q1.
 """
 
-from repro.experiments.fig8 import fig8_q1, fig8_q2
+from dataclasses import replace
+
+from repro.experiments.figures import FIGURES
+from repro.experiments.grid import GridRunner
+
+REFERENCE_SECONDS = {"fig8_q1": 16.0, "fig8_q2": 240.0}
+
+
+def _panel(name, pattern_size):
+    spec = FIGURES[name]
+    query = spec.query.with_(pattern_size=pattern_size)
+    return GridRunner().run(replace(spec, query=query))
+
+
+def fig8_q1(pattern_size):
+    return _panel("fig8_q1", pattern_size)
+
+
+def fig8_q2(pattern_size):
+    return _panel("fig8_q2", pattern_size)
+
+
+def window_pct(result, point):
+    """The point's window size as % of the panel's reference size."""
+    return round(100 * point.x / REFERENCE_SECONDS[result.spec.name])
 
 
 def _describe(result):
     worst = max(p.fn_pct for p in result.points)
-    at_reference = [p.fn_pct for p in result.points if p.window_pct == 100]
+    at_reference = [
+        p.fn_pct for p in result.points if window_pct(result, p) == 100
+    ]
     return result.rows(), {
         "worst_fn": worst,
         "fn_at_reference": max(at_reference) if at_reference else None,
@@ -21,7 +47,7 @@ def test_fig8a_q1_variable_window(report):
     result = report(lambda: fig8_q1(pattern_size=5), _describe)
     fn_by_pct = {}
     for point in result.points:
-        fn_by_pct.setdefault(point.window_pct, []).append(point.fn_pct)
+        fn_by_pct.setdefault(window_pct(result, point), []).append(point.fn_pct)
     # mild influence: no window size collapses quality (paper: "only
     # slightly influenced by the used window size")
     assert all(max(v) < 40.0 for v in fn_by_pct.values())
@@ -30,7 +56,7 @@ def test_fig8a_q1_variable_window(report):
 def test_fig8b_q2_variable_window(report):
     result = report(lambda: fig8_q2(pattern_size=10), _describe)
     at_reference = max(
-        p.fn_pct for p in result.points if p.window_pct == 100
+        p.fn_pct for p in result.points if window_pct(result, p) == 100
     )
     off_reference = max(p.fn_pct for p in result.points)
     # quality at the reference size is (near-)best; deviation can only

@@ -1,19 +1,19 @@
-"""Experiment runners -- one module per paper table/figure.
+"""The paper's evaluation (§4): one figure table, one memoising runner.
 
-Each runner returns plain dataclasses with a ``rows()`` method that
-prints the same series the paper's figure plots; the benchmarks in
-``benchmarks/`` are generated from these runners.
+Every simulated figure is one protocol -- train, overload at R1/R2,
+compare with the ground truth -- over a different sweep, so each is a
+row of data and one runner interprets them all.
 
-- :mod:`repro.experiments.common` -- shared machinery: build streams,
-  train models, run one (strategy, rate) quality point.
-- :mod:`repro.experiments.fig5` -- %false negatives, Q1/Q2/Q3/Q4.
-- :mod:`repro.experiments.fig6` -- %false positives, Q1/Q3.
-- :mod:`repro.experiments.fig7` -- latency timeline under R1/R2.
-- :mod:`repro.experiments.fig8` -- variable window size impact.
-- :mod:`repro.experiments.fig9` -- bin size impact.
-- :mod:`repro.experiments.fig10` -- load-shedder overhead.
-- :mod:`repro.experiments.ablation` -- design-choice ablations
-  (partitioned CDT, position shares, f sweep).
+- :mod:`repro.experiments.common` -- the protocol: one (strategy, rate)
+  quality point (:func:`run_quality_point`) and its outcome.
+- :mod:`repro.experiments.grid` -- :class:`FigureSpec` rows and the
+  :class:`GridRunner` that computes each model, truth and point once.
+- :mod:`repro.experiments.figures` -- the table: Fig. 5--9, the
+  partitioning and f ablations, burst absorption.
+- :mod:`repro.experiments.fig10` -- load-shedder overhead (wall clock).
+- :mod:`repro.experiments.ablation` -- position shares in the CDT.
+- :mod:`repro.experiments.workloads` -- the scaled-down streams.
+- :mod:`repro.experiments.run_all` -- the command line.
 """
 
 from repro.experiments.common import (

@@ -1,189 +1,24 @@
-"""Ablations of eSPICE's design choices (DESIGN.md §5).
+"""Position-shares ablation of eSPICE's CDT.
 
-1. **Partitioned CDT vs whole-window CDT** -- the paper argues (§3.4)
-   that dropping per *partition* is needed when the window exceeds the
-   latency-bound buffer; a single whole-window threshold can violate
-   the bound when high-utility events cluster.
-2. **Position shares vs full occurrences** -- counting each utility
-   cell as a full occurrence (ignoring ``S(T, P)``) over-estimates the
-   number of droppable events per window and under-drops.
-3. **f sweep** -- quality vs latency-headroom trade-off (paper §3.4,
-   "appropriate f value").
+Counting each utility cell as a full occurrence (ignoring ``S(T, P)``)
+over-estimates the number of droppable events per window and
+under-drops.  The other two ablations (partitioned vs whole-window CDT,
+the f sweep) are rows of :mod:`repro.experiments.figures`; this one
+simulates nothing: it is CDT arithmetic on one trained model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.cdt import build_partition_cdts
 from repro.core.partitions import plan_partitions
 from repro.core.position_shares import PositionShares
-from repro.experiments import workloads
-from repro.experiments.common import ExperimentConfig, R1, format_rows
-from repro.pipeline import Pipeline
+from repro.experiments.common import ExperimentConfig, format_rows
+from repro.experiments.figures import SOCCER
+from repro.experiments.grid import GridRunner, call
 from repro.queries import build_q1
-from repro.runtime.quality import compare_results, ground_truth
-from repro.runtime.simulation import measure_mean_memberships
-
-
-@dataclass
-class AblationRow:
-    """One configuration's quality + latency outcome."""
-
-    label: str
-    fn_pct: float
-    fp_pct: float
-    drop_pct: float
-    latency_violations: int
-    p99_latency_ms: float
-
-
-@dataclass
-class AblationResult:
-    """A small comparison table."""
-
-    title: str
-    rows_data: List[AblationRow] = field(default_factory=list)
-
-    def rows(self) -> str:
-        header = ["config", "%FN", "%FP", "%drop", "LB violations", "p99 (ms)"]
-        body = [
-            [
-                r.label,
-                f"{r.fn_pct:.1f}",
-                f"{r.fp_pct:.1f}",
-                f"{r.drop_pct:.1f}",
-                r.latency_violations,
-                f"{r.p99_latency_ms:.0f}",
-            ]
-            for r in self.rows_data
-        ]
-        return f"{self.title}\n" + format_rows(header, body)
-
-
-def _run_espice_point(
-    query,
-    train_stream,
-    eval_stream,
-    rate_factor: float,
-    config: ExperimentConfig,
-    truth,
-    label: str,
-    partition_override: Optional[int] = None,
-) -> AblationRow:
-    pipeline = (
-        Pipeline.builder()
-        .query(query)
-        .shedder("espice", f=config.f)
-        .latency_bound(config.latency_bound)
-        .bin_size(config.bin_size)
-        .check_interval(config.check_interval)
-        .build()
-    )
-    pipeline.train(train_stream)
-    pipeline.deploy(
-        expected_throughput=config.throughput,
-        expected_input_rate=rate_factor * config.throughput,
-        partition_override=partition_override,
-    )
-    sim = pipeline.simulate(
-        eval_stream,
-        input_rate=rate_factor * config.throughput,
-        throughput=config.throughput,
-        mean_memberships=measure_mean_memberships(query, eval_stream),
-    )
-    report = compare_results(truth, sim.complex_events)
-    stats = sim.latency.stats()
-    return AblationRow(
-        label=label,
-        fn_pct=report.false_negative_pct,
-        fp_pct=report.false_positive_pct,
-        drop_pct=100.0 * sim.operator_stats.drop_ratio(),
-        latency_violations=stats.violations,
-        p99_latency_ms=stats.p99 * 1000.0,
-    )
-
-
-def ablation_partitioning(
-    pattern_size: int = 4,
-    rate_factor: float = 2.5,
-    config: Optional[ExperimentConfig] = None,
-) -> AblationResult:
-    """Partition-planned CDTs vs a single whole-window CDT.
-
-    Runs at severe overload (default 2.5x) on purpose: at the paper's
-    R1/R2 rates the drop demand fits inside every partition's
-    zero-utility population, so all partitionings choose threshold 0
-    and behave identically.  Under severe demand the partition size
-    becomes the quality dial the paper describes (§3.4): per-position
-    partitions must shed regardless of utility and quality collapses,
-    while buffer-derived partitions keep finding cheap events.
-    """
-    cfg = config or ExperimentConfig()
-    train, eval_stream = workloads.soccer_streams()
-    query = build_q1(pattern_size)
-    truth = ground_truth(query, eval_stream)
-    result = AblationResult(title="Ablation: dropping interval (partitioning)")
-    result.rows_data.append(
-        _run_espice_point(
-            query, train, eval_stream, rate_factor, cfg, truth, "paper (buffer-derived rho)"
-        )
-    )
-    result.rows_data.append(
-        _run_espice_point(
-            query,
-            train,
-            eval_stream,
-            rate_factor,
-            cfg,
-            truth,
-            "single whole-window CDT (rho=1)",
-            partition_override=1,
-        )
-    )
-    result.rows_data.append(
-        _run_espice_point(
-            query,
-            train,
-            eval_stream,
-            rate_factor,
-            cfg,
-            truth,
-            "per-position partitions (rho=N)",
-            partition_override=10_000,
-        )
-    )
-    return result
-
-
-def ablation_f_sweep(
-    pattern_size: int = 4,
-    f_values: Sequence[float] = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95),
-    rate_factor: float = R1,
-    config: Optional[ExperimentConfig] = None,
-) -> AblationResult:
-    """Quality / latency-headroom trade-off across ``f``."""
-    cfg = config or ExperimentConfig()
-    train, eval_stream = workloads.soccer_streams()
-    query = build_q1(pattern_size)
-    truth = ground_truth(query, eval_stream)
-    result = AblationResult(title="Ablation: f value sweep")
-    for f in f_values:
-        point_cfg = ExperimentConfig(
-            throughput=cfg.throughput,
-            latency_bound=cfg.latency_bound,
-            f=f,
-            bin_size=cfg.bin_size,
-            check_interval=cfg.check_interval,
-            seed=cfg.seed,
-        )
-        result.rows_data.append(
-            _run_espice_point(
-                query, train, eval_stream, rate_factor, point_cfg, truth, f"f={f:.2f}"
-            )
-        )
-    return result
 
 
 @dataclass
@@ -215,6 +50,7 @@ def ablation_position_shares(
     pattern_size: int = 4,
     drop_fraction: float = 0.2,
     config: Optional[ExperimentConfig] = None,
+    runner: Optional[GridRunner] = None,
 ) -> SharesAblationResult:
     """Learned ``S(T,P)`` vs counting every cell as a full occurrence.
 
@@ -222,19 +58,12 @@ def ablation_position_shares(
     once per *type* instead of summing to one event), so the threshold
     search stops at a lower utility than needed and under-drops.  The
     comparison reports the expected drops per partition at the chosen
-    threshold for the same commanded ``x``.
+    threshold for the same commanded ``x``.  The model (bin size 1) is
+    ``runner``'s, so a sweep that trained it already shares it.
     """
     cfg = config or ExperimentConfig()
-    train, _eval_stream = workloads.soccer_streams()
-    query = build_q1(pattern_size)
-    pipeline = (
-        Pipeline.builder()
-        .query(query)
-        .shedder("espice", f=cfg.f)
-        .latency_bound(cfg.latency_bound)
-        .build()
-    )
-    model = pipeline.train(train).model
+    query = call(build_q1, pattern_size=pattern_size)
+    model = (runner or GridRunner()).model((query,), SOCCER, 1)
     plan = plan_partitions(
         model.reference_size, cfg.latency_bound * cfg.throughput, cfg.f
     )

@@ -15,17 +15,16 @@ Every quality experiment follows the paper's protocol (§4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cep.events import EventStream
 from repro.cep.patterns.query import Query
 from repro.cep.windows import average_window_size, collect_windows
-from repro.core.overload import OverloadDetector
+from repro.core.model import UtilityModel
 from repro.pipeline import Pipeline
 from repro.runtime.latency import LatencyStats
 from repro.runtime.quality import QualityReport, compare_results, ground_truth
 from repro.runtime.simulation import measure_mean_memberships
-from repro.shedding.base import LoadShedder
 
 # The paper's two overload levels: input rate exceeds throughput by 20/40 %.
 R1 = 1.2
@@ -46,9 +45,14 @@ class ExperimentConfig:
     seed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class QualityOutcome:
-    """One (strategy, rate) quality point."""
+    """One (strategy, rate) quality point -- the one point of every figure.
+
+    ``x`` is the point's place in a figure's sweep (see
+    :mod:`repro.experiments.grid`); a bare :func:`run_quality_point`
+    leaves it ``None``.
+    """
 
     strategy: str
     rate_factor: float
@@ -57,6 +61,9 @@ class QualityOutcome:
     drop_ratio: float
     truth_count: int
     detected_count: int
+    dropped_memberships: int
+    timeline: Tuple[Tuple[float, float], ...]  # (1 s bucket end, mean latency)
+    x: Any = None
 
     @property
     def fn_pct(self) -> float:
@@ -89,13 +96,18 @@ def strategy_pipeline(
     train_stream: EventStream,
     config: ExperimentConfig,
     rate_factor: float,
+    model: Optional[UtilityModel] = None,
+    deploy: Optional[Mapping[str, Any]] = None,
 ) -> Pipeline:
     """A trained, deployed single-query pipeline for one experiment run.
 
-    eSPICE fits its utility model on the training stream; the
-    comparator strategies skip model fitting, pin the reference window
-    size to the training stream's average (the historical protocol)
-    and only warm their online type statistics.
+    eSPICE fits its utility model on the training stream, unless a
+    trained ``model`` is given (it is deployed as is, never modified);
+    the comparator strategies skip model fitting, pin the reference
+    window size to the training stream's average (the historical
+    protocol) and only warm their online type statistics.  ``deploy``
+    holds extra :meth:`Pipeline.deploy` arguments
+    (``partition_override``, ``prime``).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
@@ -110,38 +122,19 @@ def strategy_pipeline(
     )
     if strategy != "espice":
         builder.reference_size(reference_window_size(query, train_stream))
+    elif model is not None:
+        builder.model(model)
     pipeline = builder.build()
-    if strategy == "espice":
-        pipeline.train(train_stream)
-    else:
+    if strategy != "espice":
         pipeline.warm(train_stream)
+    elif model is None:
+        pipeline.train(train_stream)
     pipeline.deploy(
         expected_throughput=config.throughput,
         expected_input_rate=rate_factor * config.throughput,
+        **(deploy or {}),
     )
     return pipeline
-
-
-def build_strategy(
-    strategy: str,
-    query: Query,
-    train_stream: EventStream,
-    config: ExperimentConfig,
-    rate_factor: float,
-) -> Tuple[Optional[LoadShedder], Optional[OverloadDetector], float]:
-    """Construct (shedder, detector, reference window size) for a run.
-
-    Legacy component view of :func:`strategy_pipeline`, kept for
-    callers that drive :func:`repro.runtime.simulation.simulate`
-    directly with loose components.
-    """
-    if strategy == "none":
-        # ground-truth shape: no shedding machinery at all
-        return None, None, float(reference_window_size(query, train_stream))
-    pipeline = strategy_pipeline(strategy, query, train_stream, config, rate_factor)
-    chain = pipeline.chains[0]
-    reference = chain.model.reference_size if chain.model else chain.detector.reference_size
-    return chain.shedder, chain.detector, float(reference)
 
 
 def run_quality_point(
@@ -152,21 +145,34 @@ def run_quality_point(
     rate_factor: float,
     config: Optional[ExperimentConfig] = None,
     truth: Optional[list] = None,
+    model: Optional[UtilityModel] = None,
+    mean_memberships: Optional[float] = None,
+    deploy: Optional[Mapping[str, Any]] = None,
+    arrival_times: Optional[List[float]] = None,
 ) -> QualityOutcome:
     """One full experiment point: train, overload, compare to truth.
 
-    ``truth`` may be precomputed (it does not depend on the strategy or
-    the rate) and shared across points to save time.
+    ``truth``, ``model`` and ``mean_memberships`` may be precomputed
+    (none depends on the rate; only the model on the strategy) and
+    shared across points to save time.  ``deploy`` is forwarded to
+    :func:`strategy_pipeline`; ``arrival_times`` replaces the uniform
+    arrivals at ``rate_factor * throughput`` (a burst), the detector
+    still expecting that rate.
     """
     cfg = config if config is not None else ExperimentConfig()
     if truth is None:
         truth = ground_truth(query, eval_stream)
-    pipeline = strategy_pipeline(strategy, query, train_stream, cfg, rate_factor)
+    if mean_memberships is None:
+        mean_memberships = measure_mean_memberships(query, eval_stream)
+    pipeline = strategy_pipeline(
+        strategy, query, train_stream, cfg, rate_factor, model, deploy
+    )
     result = pipeline.simulate(
         eval_stream,
         input_rate=rate_factor * cfg.throughput,
         throughput=cfg.throughput,
-        mean_memberships=measure_mean_memberships(query, eval_stream),
+        mean_memberships=mean_memberships,
+        arrival_times=arrival_times,
     )
     report = compare_results(truth, result.complex_events)
     return QualityOutcome(
@@ -177,6 +183,8 @@ def run_quality_point(
         drop_ratio=result.operator_stats.drop_ratio(),
         truth_count=report.truth_count,
         detected_count=report.detected_count,
+        dropped_memberships=result.operator_stats.memberships_dropped,
+        timeline=tuple(result.latency.timeline(1.0)),
     )
 
 

@@ -1,8 +1,8 @@
 """Exporting experiment results as Markdown / CSV.
 
-The figure runners return dataclasses with ad-hoc ``rows()`` renderers;
-this module provides structured exports so results can be committed
-as Markdown, diffed across runs, or loaded into other tools.
+The figure runner prints fixed-width tables; this module provides
+structured exports so results can be committed as Markdown, diffed
+across runs, or loaded into other tools.
 """
 
 from __future__ import annotations
@@ -62,42 +62,6 @@ class ResultTable:
             path.write_text(self.to_markdown() + "\n")
         else:
             path.write_text(self.to_csv())
-
-
-def quality_figure_table(figure) -> ResultTable:
-    """Convert a :class:`repro.experiments.fig5.QualityFigure`."""
-    combos = sorted({(p.strategy, p.rate_factor) for p in figure.points})
-    columns = [figure.x_label]
-    for strategy, rate in combos:
-        columns.append(f"{strategy}@R{rate:.1f} %FN")
-        columns.append(f"{strategy}@R{rate:.1f} %FP")
-    table = ResultTable(title=figure.title, columns=columns)
-    by_key = {(p.x, p.strategy, p.rate_factor): p for p in figure.points}
-    for x in sorted({p.x for p in figure.points}):
-        row: List[object] = [x]
-        for strategy, rate in combos:
-            point = by_key.get((x, strategy, rate))
-            row.append(round(point.fn_pct, 1) if point else "")
-            row.append(round(point.fp_pct, 1) if point else "")
-        table.rows.append(row)
-    return table
-
-
-def latency_table(result) -> ResultTable:
-    """Convert a :class:`repro.experiments.fig7.Fig7Result`."""
-    table = ResultTable(
-        title="Latency under overload",
-        columns=["rate", "mean ms", "p99 ms", "max ms", "violations"],
-    )
-    for run in result.runs:
-        table.add_row(
-            f"R={run.rate_factor:.1f}",
-            round(run.stats.mean * 1000, 1),
-            round(run.stats.p99 * 1000, 1),
-            round(run.stats.maximum * 1000, 1),
-            run.stats.violations,
-        )
-    return table
 
 
 def metrics_table(snapshot, title: str = "Metrics") -> ResultTable:

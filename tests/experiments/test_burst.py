@@ -1,7 +1,22 @@
-"""Smoke tests for the burst experiment (repro.experiments.burst)."""
+"""Smoke tests for the burst-absorption row of the figure table."""
 
-from repro.experiments.burst import burst_experiment
+from dataclasses import replace
+
 from repro.experiments.common import ExperimentConfig
+from repro.experiments.figures import FIGURES
+from repro.experiments.grid import GridRunner
+
+
+def burst_experiment(f_values, burst_seconds, base_factor, config):
+    spec = FIGURES["burst"]
+    return GridRunner().run(
+        replace(
+            spec,
+            xs=tuple((burst, f) for burst in burst_seconds for f in f_values),
+            burst_base=base_factor,
+            config=config,
+        )
+    )
 
 
 class TestBurstExperiment:
@@ -13,7 +28,7 @@ class TestBurstExperiment:
             config=ExperimentConfig(bin_size=8),
         )
         assert len(result.points) == 2
-        by_f = {p.f: p for p in result.points}
+        by_f = {p.x[1]: p for p in result.points}
         # the higher trigger sheds less on a short burst
         assert (
             by_f[0.8].dropped_memberships <= by_f[0.5].dropped_memberships
@@ -28,5 +43,5 @@ class TestBurstExperiment:
             config=ExperimentConfig(bin_size=8),
         )
         point = result.points[0]
-        assert point.max_latency_ms > 0
+        assert point.latency.maximum * 1000.0 > 0
         assert 0.0 <= point.fn_pct <= 100.0

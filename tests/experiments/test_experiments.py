@@ -1,32 +1,37 @@
 """Smoke tests for the experiment runners (tiny parameters).
 
 Full-size runs live in ``benchmarks/``; these only verify that every
-runner executes, produces well-formed series and renders its rows.
+figure-table row and the two standalone measurements execute, produce
+well-formed series and render their rows.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import workloads
 from repro.experiments.common import (
     ExperimentConfig,
-    build_strategy,
     format_rows,
     reference_window_size,
     run_quality_point,
+    strategy_pipeline,
 )
-from repro.experiments.fig5 import fig5_q1
-from repro.experiments.fig7 import fig7_latency
-from repro.experiments.fig8 import fig8_q1
-from repro.experiments.fig9 import fig9_q1
+from repro.experiments.figures import FIGURES
+from repro.experiments.grid import GridRunner
 from repro.experiments.fig10 import fig10_overhead
-from repro.experiments.ablation import (
-    ablation_f_sweep,
-    ablation_partitioning,
-    ablation_position_shares,
-)
+from repro.experiments.ablation import ablation_position_shares
 from repro.queries import build_q1
 
 FAST = ExperimentConfig(bin_size=8)
+
+
+def run_row(name, pattern_size=None, runner=None, **changes):
+    """Row ``name`` of the figure table, changed, through ``runner``."""
+    spec = FIGURES[name]
+    if pattern_size is not None:
+        spec = replace(spec, query=spec.query.with_(pattern_size=pattern_size))
+    return (runner or GridRunner()).run(replace(spec, **changes))
 
 
 @pytest.fixture(scope="module")
@@ -40,15 +45,10 @@ class TestCommon:
         n = reference_window_size(build_q1(2), train)
         assert 100 < n < 800
 
-    def test_build_strategy_rejects_unknown(self, small_soccer):
+    def test_strategy_pipeline_rejects_unknown(self, small_soccer):
         train, _test = small_soccer
         with pytest.raises(ValueError):
-            build_strategy("magic", build_q1(2), train, FAST, 1.2)
-
-    def test_build_strategy_none(self, small_soccer):
-        train, _test = small_soccer
-        shedder, detector, n = build_strategy("none", build_q1(2), train, FAST, 1.2)
-        assert shedder is None and detector is None and n > 0
+            strategy_pipeline("magic", build_q1(2), train, FAST, 1.2)
 
     def test_run_quality_point_smoke(self, small_soccer):
         train, test = small_soccer
@@ -66,35 +66,38 @@ class TestCommon:
 
 class TestFigureRunners:
     def test_fig5_smoke(self):
-        figure = fig5_q1(pattern_sizes=(2,), rates=(1.2,), config=FAST)
+        runner = GridRunner()
+        sweep = dict(xs=(2,), rates=(1.2,), config=FAST, runner=runner)
+        figure = run_row("fig5_q1_first", **sweep)
         assert len(figure.points) == 2  # espice + bl
         series = figure.series("espice", 1.2)
         assert len(series) == 1
-        assert "Fig5" in figure.rows("fn")
-        assert "Fig5" in figure.rows("fp")
+        assert "Fig5" in figure.rows()
+        assert "%FP" in run_row("fig6_q1", **sweep).rows()
 
     def test_fig7_smoke(self):
-        result = fig7_latency(pattern_size=2, rates=(1.2,), config=FAST)
-        assert len(result.runs) == 1
-        run = result.runs[0]
-        assert run.stats.count > 0
-        assert not run.violated  # eSPICE keeps the bound
+        result = run_row("fig7", xs=(2,), rates=(1.2,), config=FAST)
+        assert len(result.points) == 1
+        run = result.points[0]
+        assert run.latency.count > 0
+        assert not run.latency.violations > 0  # eSPICE keeps the bound
         assert len(run.timeline) > 3
         assert "Fig7" in result.rows()
 
     def test_fig8_smoke(self):
-        result = fig8_q1(
+        result = run_row(
+            "fig8_q1",
             pattern_size=2,
-            window_seconds=(12.0, 16.0),
+            xs=(12.0, 16.0),
             rates=(1.2,),
             config=FAST,
         )
         assert len(result.points) == 2
-        assert {p.window_pct for p in result.points} == {75, 100}
+        assert {round(100 * p.x / 16.0) for p in result.points} == {75, 100}
         assert "Fig8" in result.rows()
 
     def test_fig9_smoke(self):
-        result = fig9_q1(pattern_size=2, bin_sizes=(4, 8), rates=(1.2,), config=FAST)
+        result = run_row("fig9_q1", pattern_size=2, xs=(4, 8), rates=(1.2,), config=FAST)
         assert len(result.points) == 2
         assert "Fig9" in result.rows()
 
@@ -109,14 +112,14 @@ class TestFigureRunners:
 
 class TestAblations:
     def test_partitioning_ablation(self):
-        result = ablation_partitioning(pattern_size=2, config=FAST)
-        labels = [row.label for row in result.rows_data]
+        result = run_row("ablation_partitioning", pattern_size=2, config=FAST)
+        labels = [row.x for row in result.points]
         assert len(labels) == 3
         assert "Ablation" in result.rows()
 
     def test_f_sweep(self):
-        result = ablation_f_sweep(pattern_size=2, f_values=(0.5, 0.9), config=FAST)
-        assert len(result.rows_data) == 2
+        result = run_row("ablation_f", pattern_size=2, xs=(0.5, 0.9), config=FAST)
+        assert len(result.points) == 2
 
     def test_position_shares_ablation(self):
         result = ablation_position_shares(pattern_size=2, config=FAST)

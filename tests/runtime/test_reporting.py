@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.runtime.reporting import (
-    ResultTable,
-    combine_markdown,
-    latency_table,
-    quality_figure_table,
-)
+from repro.runtime.reporting import ResultTable, combine_markdown
 
 
 class TestResultTable:
@@ -47,53 +42,6 @@ class TestResultTable:
 
 
 class TestFigureConversion:
-    def _figure(self):
-        from repro.experiments.common import QualityOutcome
-        from repro.experiments.fig5 import QualityFigure, QualitySeriesPoint
-        from repro.runtime.latency import LatencyStats
-        from repro.runtime.quality import QualityReport
-
-        def outcome(fn, fp):
-            return QualityOutcome(
-                strategy="espice",
-                rate_factor=1.2,
-                quality=QualityReport(100, 100 - fn, fn, fp),
-                latency=LatencyStats(1, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 1.0),
-                drop_ratio=0.1,
-                truth_count=100,
-                detected_count=100 - fn,
-            )
-
-        figure = QualityFigure(title="Fig test", x_label="n")
-        figure.points.append(QualitySeriesPoint(2, "espice", 1.2, outcome(10, 5)))
-        figure.points.append(QualitySeriesPoint(4, "espice", 1.2, outcome(20, 8)))
-        return figure
-
-    def test_quality_figure_table(self):
-        table = quality_figure_table(self._figure())
-        assert table.title == "Fig test"
-        assert table.columns[0] == "n"
-        assert len(table.rows) == 2
-        assert table.rows[0][0] == 2
-        assert table.rows[0][1] == 10.0  # %FN
-        assert table.rows[0][2] == 5.0  # %FP
-
-    def test_latency_table(self):
-        from repro.experiments.fig7 import Fig7Result, LatencyRun
-        from repro.runtime.latency import LatencyStats
-
-        result = Fig7Result(latency_bound=1.0, f=0.8)
-        result.runs.append(
-            LatencyRun(
-                rate_factor=1.2,
-                stats=LatencyStats(10, 0.5, 0.9, 0.5, 0.8, 0.85, 0, 1.0),
-                timeline=[(1.0, 0.5)],
-            )
-        )
-        table = latency_table(result)
-        assert table.rows[0][0] == "R=1.2"
-        assert table.rows[0][1] == 500.0
-
     def test_combine_markdown(self):
         t1 = ResultTable("one", ["a"])
         t2 = ResultTable("two", ["b"])
