@@ -8,7 +8,9 @@ best-of-N full runs with fresh rule instances per run (R008 carries
 per-run state) and reports files/second.
 
 Each run writes ``BENCH_analysis.json`` (override with
-``BENCH_ANALYSIS_REPORT``).  CI runs ``--smoke``, which additionally
+``BENCH_ANALYSIS_REPORT``); a ``--smoke`` run writes only where
+``BENCH_ANALYSIS_REPORT`` points, else to a temp file.  CI runs
+``--smoke``, which additionally
 asserts the tree is clean -- a belt-and-braces duplicate of the lint
 job, so a red tree cannot hide behind a green benchmark.
 """
@@ -17,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -57,6 +60,15 @@ def measure(root: Path) -> dict:
     }
 
 
+def smoke_report_path():
+    """Where a ``--smoke`` run writes: ``BENCH_ANALYSIS_REPORT`` if set, else a
+    temp file, never the tracked ``BENCH_analysis.json``."""
+    if "BENCH_ANALYSIS_REPORT" in os.environ:
+        return os.environ["BENCH_ANALYSIS_REPORT"]
+    scratch = tempfile.mkdtemp(prefix="bench_analysis-")
+    return os.path.join(scratch, "BENCH_analysis.json")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -68,13 +80,14 @@ def main() -> int:
 
     root = discover_root(Path(__file__).resolve().parent)
     report = measure(root)
-    with open(REPORT_PATH, "w", encoding="utf-8") as fh:
+    path = smoke_report_path() if args.smoke else REPORT_PATH
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
         f"bench_analysis: {report['files_scanned']} files in "
         f"{report['seconds_best']}s best-of-{REPEATS} "
-        f"({report['files_per_second']} files/s) -> {REPORT_PATH}"
+        f"({report['files_per_second']} files/s) -> {path}"
     )
 
     if not report["within_budget"]:

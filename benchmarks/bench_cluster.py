@@ -27,7 +27,9 @@ it can only measure transport overhead).
 
 Run ``python benchmarks/bench_cluster.py --smoke`` for the quick
 CI-friendly variant: a short slice, the same bit-identity assertions,
-no speed expectations (1-core CI measures noise, not overhead).
+no speed expectations (1-core CI measures noise, not overhead); its
+report goes only where ``BENCH_CLUSTER_REPORT`` points, else to a temp
+file.
 """
 
 import json
@@ -120,22 +122,31 @@ def run_checkpoint_bench(query, live, reference, rounds=ROUNDS):
     }
 
 
-def write_report(payload):
+def write_report(payload, path=REPORT_PATH):
     payload = {**payload, "unix_time": round(time.time(), 3)}
-    with open(REPORT_PATH, "w") as handle:
+    with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return REPORT_PATH
+    return path
 
 
-def merge_report(section):
+def merge_report(section, path=REPORT_PATH):
     """Fold one benchmark's section into the shared report file."""
     payload = {}
-    if os.path.exists(REPORT_PATH):
-        with open(REPORT_PATH) as handle:
+    if os.path.exists(path):
+        with open(path) as handle:
             payload = json.load(handle)
     payload.update(section)
-    return write_report(payload)
+    return write_report(payload, path)
+
+
+def smoke_report_path():
+    """Where a ``--smoke`` run writes: ``BENCH_CLUSTER_REPORT`` if set, else a
+    temp file, never the tracked ``BENCH_cluster.json``."""
+    if "BENCH_CLUSTER_REPORT" in os.environ:
+        return os.environ["BENCH_CLUSTER_REPORT"]
+    scratch = tempfile.mkdtemp(prefix="bench_cluster-")
+    return os.path.join(scratch, "BENCH_cluster.json")
 
 
 def test_cluster_throughput(report):
@@ -287,14 +298,14 @@ def smoke() -> int:
     checkpointed) bit-identical to sequential, on a short slice.  No
     speed expectations -- 1-core CI measures noise, not overhead --
     but the overhead section is still measured and written to
-    ``BENCH_cluster.json`` so the trajectory is visible."""
+    :func:`smoke_report_path`."""
     query, live = matching_bound_workload(duration_seconds=400.0)
     sequential = Pipeline.builder().query(query).build().run(live)
     reference = [c.key for c in sequential.complex_events]
     assert reference, "smoke workload must detect something"
     out = run_checkpoint_bench(query, live, reference, rounds=1)
     text, extra = describe_checkpoint(out)
-    path = merge_report(extra)
+    path = merge_report(extra, smoke_report_path())
     print(f"bench_cluster --smoke:\n{text}\n  report:               {path}")
     print(
         "OK: plain and checkpointed clusters bit-identical to sequential "

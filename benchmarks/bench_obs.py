@@ -20,8 +20,10 @@ Three modes of the same soccer-Q1 batch=64 replay are timed
 across all three -- observability must never change what the pipeline
 computes.
 
-Each run writes ``BENCH_obs.json`` (override with ``BENCH_OBS_REPORT``).
-CI runs ``python benchmarks/bench_obs.py --smoke`` on every leg; the
+Each run writes ``BENCH_obs.json`` (override with ``BENCH_OBS_REPORT``);
+a ``--smoke`` run writes only where ``BENCH_OBS_REPORT`` points, else
+to a temp file.  CI runs ``python benchmarks/bench_obs.py --smoke`` on
+every leg; the
 smoke bound allows an absolute-slack fallback because percentage noise
 on a busy 1-core runner easily exceeds 2% of a sub-second run.
 """
@@ -30,6 +32,7 @@ import gc
 import json
 import os
 import statistics
+import tempfile
 import time
 
 #: Micro-batch size of the tracked replay (matches bench_pipeline).
@@ -246,6 +249,15 @@ def write_report(out, path=REPORT_PATH):
     return path
 
 
+def smoke_report_path():
+    """Where a ``--smoke`` run writes: ``BENCH_OBS_REPORT`` if set, else a
+    temp file, never the tracked ``BENCH_obs.json``."""
+    if "BENCH_OBS_REPORT" in os.environ:
+        return os.environ["BENCH_OBS_REPORT"]
+    scratch = tempfile.mkdtemp(prefix="bench_obs-")
+    return os.path.join(scratch, "BENCH_obs.json")
+
+
 def describe(out):
     text = (
         f"Observability overhead (soccer Q1, batch={BATCH_SIZE}, "
@@ -289,7 +301,7 @@ def test_obs_overhead(report):
 # CI smoke mode: python benchmarks/bench_obs.py --smoke
 # ----------------------------------------------------------------------
 def smoke() -> int:
-    """Assertion pass for CI; still writes BENCH_obs.json.
+    """Assertion pass for CI; the report goes to :func:`smoke_report_path`.
 
     Uses the full stream with fewer rounds: a shorter slice replays in
     ~60ms, where scheduling noise alone measured the *identical*
@@ -299,7 +311,7 @@ def smoke() -> int:
     """
     train, stream = workloads.soccer_streams()
     out = run_bench(train, stream)
-    path = write_report(out)
+    path = write_report(out, smoke_report_path())
     text, _extra = describe(out)
     print(f"bench_obs --smoke:\n{text}\n  report:                    {path}")
     disabled_ok, enabled_ok = within_budget(out)

@@ -28,7 +28,8 @@ trackable across PRs, like the chain-overhead numbers in
 ``bench_pipeline``.
 
 Run ``python benchmarks/bench_serve.py --smoke`` for the quick
-CI-friendly variant: a short slice, same assertions, no speed
+CI-friendly variant (its report goes only where ``BENCH_SERVE_REPORT``
+points, else to a temp file): a short slice, same assertions, no speed
 expectations (a 1-core container measures syscall overhead, not
 scaling).
 """
@@ -36,6 +37,7 @@ scaling).
 import asyncio
 import json
 import os
+import tempfile
 import time
 
 #: Concurrent client connections measured against the baseline.
@@ -287,6 +289,15 @@ def write_report(out, path=REPORT_PATH):
     return path
 
 
+def smoke_report_path():
+    """Where a ``--smoke`` run writes: ``BENCH_SERVE_REPORT`` if set, else a
+    temp file, never the tracked ``BENCH_serve.json``."""
+    if "BENCH_SERVE_REPORT" in os.environ:
+        return os.environ["BENCH_SERVE_REPORT"]
+    scratch = tempfile.mkdtemp(prefix="bench_serve-")
+    return os.path.join(scratch, "BENCH_serve.json")
+
+
 def describe(out):
     lines = [
         "Serve ingest throughput (framed TCP, soccer Q1, "
@@ -349,10 +360,11 @@ def smoke() -> int:
     """Fast assertion pass: delivery + 1-connection detection equality
     across every fan-in, on a short slice.  No speed expectations -- a
     1-core CI box cannot parallelise connections, only serialise them.
-    Exits non-zero on violation; still writes BENCH_serve.json."""
+    Exits non-zero on violation; the report goes to
+    :func:`smoke_report_path`."""
     _train, stream = workloads.soccer_streams(duration_seconds=600.0)
     out = run_bench(stream)
-    path = write_report(out)
+    path = write_report(out, smoke_report_path())
     text, _extra = describe(out)
     print(f"bench_serve --smoke:\n{text}\n  report:              {path}")
     print(

@@ -110,11 +110,6 @@ class OperatorGraph:
                 raise ValueError(f"unknown upstream node {up!r}")
         self._nodes[node.name] = node
 
-    @property
-    def node_names(self) -> List[str]:
-        """Names in insertion order."""
-        return list(self._nodes)
-
     def topological_order(self) -> List[str]:
         """Evaluation order (insertion order is already topological,
         since upstream nodes must exist when a node is added)."""

@@ -151,7 +151,8 @@ class KleeneStep(Step):
 
     Matches a maximal greedy run of events satisfying ``spec`` (with
     skip-till-next semantics, irrelevant events between occurrences are
-    skipped but an event matching the *next* step ends the run).  At
+    skipped, but once ``min_count`` occurrences are held an event that
+    the *next* step accepts and ``spec`` does not ends the run).  At
     least ``min_count`` occurrences are required; ``max_count`` bounds
     greed (``None`` = unbounded).
     """
@@ -188,8 +189,9 @@ class Pattern:
     def __post_init__(self) -> None:
         if not self.steps:
             raise ValueError("pattern needs at least one step")
-        if isinstance(self.steps[0], NegationStep) or isinstance(
-            self.steps[-1], NegationStep
+        negated = [isinstance(step, NegationStep) for step in self.steps]
+        if negated[0] or negated[-1] or any(
+            a and b for a, b in zip(negated, negated[1:])
         ):
             raise ValueError("negation must sit between two positive steps")
 
@@ -200,15 +202,7 @@ class Pattern:
 
     def match_size(self) -> int:
         """Number of primitive events in one *minimal* full match."""
-        total = 0
-        for step in self.positive_steps:
-            if isinstance(step, AnyStep):
-                total += step.n
-            elif isinstance(step, KleeneStep):
-                total += step.min_count
-            else:
-                total += 1
-        return total
+        return sum(minimal_count(step) for step in self.positive_steps)
 
     def event_type_repetitions(self) -> dict:
         """Count how often each type name is referenced by the pattern.
@@ -245,6 +239,15 @@ class Pattern:
 
     def __repr__(self) -> str:
         return f"Pattern({self.name}, {len(self.steps)} steps)"
+
+
+def minimal_count(step: Step) -> int:
+    """Events one step binds at least: ``n``, ``min_count``, else 1."""
+    if isinstance(step, AnyStep):
+        return step.n
+    if isinstance(step, KleeneStep):
+        return step.min_count
+    return 1
 
 
 def kleene(

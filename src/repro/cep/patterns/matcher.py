@@ -1,44 +1,89 @@
 """Pattern matching over windows with skip-till-next/any-match semantics.
 
-The matcher operates on a *window content*: the ordered list of events
-the operator actually processes for that window (after shedding, if
-any).  It returns matches as lists of ``(position, event)`` pairs where
-``position`` is the index of the event in the **unshedded** window --
-callers pass positions alongside events so that the utility model can
-learn true window positions even when some events were shed.
+The matcher evaluates one *window content*: the ordered events the
+operator processes for that window, after shedding if any.  A match is
+a list of ``(position, event)`` pairs in position order; ``position``
+is the event's index in the **unshedded** window, so the utility model
+learns true window positions even when events were shed.
 
-Supported:
+Each sequence pattern is compiled once, at construction, into a tuple
+of guarded steps: every positive step with the scan that binds it, the
+negation guarding the gap before it and the positive step after it.
+Every selection policy walks that tuple; *last* walks its mirror over
+the reversed window.  Scans return view indices (indices into the
+events passed in), mapped to positions only when a match is reported.
 
-- sequence patterns (:class:`~repro.cep.patterns.ast.Pattern`) with
-  single, ``any(n, ...)`` and negation steps,
-- conjunction patterns (:class:`~repro.cep.patterns.ast.Conjunction`),
-- *first*, *last*, *each* and *cumulative* selection policies,
-- *consumed* and *zero* consumption policies,
-- a cap on matches per window (the paper's default setting is one
-  complex event per window).
+Semantics (the executable spec ``tests/cep/matcher_spec.py`` pins them):
+
+- **Runs.**  A step's run starts at an event the step accepts.  A
+  single step binds just that event.  ``any(n, ...)`` goes on taking,
+  in window order, each event that can join until it holds ``n``: with
+  ``distinct_specs`` an event joins when the run's events and it can
+  each be given a spec of their own (earlier events may trade specs),
+  without it when it matches any spec.  A kleene step takes every event
+  its spec matches until it holds ``max_count``, or until -- holding at
+  least ``min_count`` -- it meets an event that the following positive
+  step accepts and its own spec does not; it fails below ``min_count``.
+- **Negation.**  A guard fails the binding when it accepts an event
+  after the previous step's last event, up to *and including* the
+  guarded step's first event: when one event is accepted by both the
+  guard and the step it guards, the guard wins.  (*last* scans
+  backwards, so there the guarded step is the one before the guard.)
+- **first** (skip-till-next-match): the first step's run may start at
+  any accepted event, earliest first; every later step starts at the
+  first event after the previous step that it accepts.  The match is
+  the binding with the earliest *anchor* (the first step's first
+  event).  **last** is *first* on the reversed window with the steps
+  reversed.
+- **each** (skip-till-any-match): every step's run may start at any
+  accepted event after the previous step; bindings are reported in
+  window order.
+- **cumulative**: one composite match.  Step ``j``'s instances are all
+  events after step ``j-1``'s first instance (the whole window for the
+  first step) that it accepts; each step needs its minimal count
+  (1, ``n`` or ``min_count``), and a guard fails the match when it
+  accepts an event after the previous step's first instance, up to and
+  including its own step's first instance.  Each event is listed once.
+- **Consumption** (with ``max_matches > 1``): under *consumed* the
+  events of a reported match are invisible to everything after it --
+  scans, guards and kleene stops -- and *first*/*last* search the
+  remaining events afresh.  Under *zero* events are reused, and each
+  next match must lie strictly later: a later anchor for *first*/*last*,
+  a later binding in window order for *each*.
+- **Conjunctions** bind one event per spec, no event to two specs:
+  *first* takes the earliest such set of events, *last* the latest (an
+  any step over the whole window, compiled as such).  Only *first* and
+  *last* with ``max_matches=1`` are supported; any other setting is
+  rejected at construction.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cep.events import Event
 from repro.cep.patterns.ast import (
     AnyStep,
     Conjunction,
+    EventSpec,
     KleeneStep,
     NegationStep,
     Pattern,
     SingleStep,
     Step,
+    minimal_count,
 )
 from repro.cep.patterns.policies import ConsumptionPolicy, SelectionPolicy
 
 # One binding of the pattern: (window position, event) in position order.
 Match = List[Tuple[int, Event]]
 
-# The matcher's working view of a window: parallel (position, event) data.
-_Positioned = Sequence[Tuple[int, Event]]
+# (events, start, guard, step, following, consumed) -> the run's indices or None
+Scan = Callable[..., Optional[List[int]]]
+
+# One compiled step: (scan, negation guard, positive step, following step).
+Guarded = Tuple[Scan, Optional[EventSpec], Step, Optional[Step]]
 
 
 class PatternMatcher:
@@ -71,6 +116,22 @@ class PatternMatcher:
         self.selection = selection
         self.consumption = consumption
         self.max_matches = max_matches
+        steps: Sequence[Step]
+        if isinstance(pattern, Conjunction):
+            if selection not in (SelectionPolicy.FIRST, SelectionPolicy.LAST) or (
+                max_matches != 1
+            ):
+                raise ValueError(
+                    "a conjunction supports only first or last selection with "
+                    f"max_matches=1, not {selection.value} with "
+                    f"max_matches={max_matches}"
+                )
+            # one event per spec, each its own: an any step over the window
+            steps = (AnyStep(len(pattern.specs), pattern.specs),)
+        else:
+            steps = pattern.steps
+        self._steps = _compile(steps)
+        self._mirrored = _compile(tuple(reversed(steps)))
 
     # ------------------------------------------------------------------
     # public API
@@ -87,345 +148,260 @@ class PatternMatcher:
         window was not shed.
         """
         if positions is None:
-            positioned: _Positioned = list(enumerate(events))
-        else:
-            if len(positions) != len(events):
-                raise ValueError("positions and events must align")
-            positioned = list(zip(positions, events))
+            positions = range(len(events))
+        elif len(positions) != len(events):
+            raise ValueError("positions and events must align")
 
-        if isinstance(self.pattern, Conjunction):
-            return self._match_conjunction(positioned)
-        return self._match_sequence(positioned)
+        selection = self.selection
+        if selection is SelectionPolicy.FIRST:
+            return [
+                [(positions[i], events[i]) for i in bound]
+                for bound in self._select(events, self._steps)
+            ]
+        if selection is SelectionPolicy.LAST:
+            last = len(events) - 1
+            mirrored = events[::-1]
+            return [
+                [(positions[last - i], mirrored[i]) for i in reversed(bound)]
+                for bound in self._select(mirrored, self._mirrored)
+            ]
+        if selection is SelectionPolicy.EACH:
+            found: List[List[int]] = []
+            self._each(events, 0, 0, [], set(), found)
+            return [[(positions[i], events[i]) for i in bound] for bound in found]
+        return self._cumulative(events, positions)
 
     # ------------------------------------------------------------------
     # sequence patterns
     # ------------------------------------------------------------------
-    def _match_sequence(self, positioned: _Positioned) -> List[Match]:
-        if self.selection is SelectionPolicy.FIRST:
-            return self._collect(positioned, reverse=False)
-        if self.selection is SelectionPolicy.LAST:
-            return self._collect(positioned, reverse=True)
-        if self.selection is SelectionPolicy.EACH:
-            return self._match_each(positioned)
-        if self.selection is SelectionPolicy.CUMULATIVE:
-            match = self._match_cumulative(positioned)
-            return [match] if match else []
-        raise AssertionError(f"unknown selection policy {self.selection}")
-
-    def _collect(self, positioned: _Positioned, reverse: bool) -> List[Match]:
-        """Greedy repeated matching under first (or mirrored last) policy."""
-        assert isinstance(self.pattern, Pattern)
-        steps: List[Step] = list(self.pattern.steps)
-        view: List[Tuple[int, Event]] = list(positioned)
-        if reverse:
-            steps = list(reversed(steps))
-            view = list(reversed(view))
-
-        matches: List[Match] = []
-        consumed: set = set()  # window positions consumed by earlier matches
+    def _select(
+        self, events: Sequence[Event], steps: Tuple[Guarded, ...]
+    ) -> List[List[int]]:
+        """*first* over ``events``: each match as ascending view indices."""
+        zero = self.consumption is ConsumptionPolicy.ZERO
+        matches: List[List[int]] = []
+        consumed: Set[int] = set()
         start = 0
         while len(matches) < self.max_matches:
-            found, first_bound_index = self._greedy_once(view, steps, start, consumed)
-            if found is None:
-                if first_bound_index is None:
-                    break  # no anchor at all: nothing further to try
-                # a negation (or exhaustion) killed the run after it had
-                # anchored; retry past the dead anchor -- a later anchor
-                # may sit beyond the poisoning event
-                start = first_bound_index + 1
-                continue
-            match_positions = [pos for pos, _event in found]
-            if self.consumption is ConsumptionPolicy.CONSUMED:
-                consumed.update(match_positions)
-                # next match may start anywhere not consumed
-                start = 0
+            bound: List[int] = []
+            cursor = start
+            for scan, guard, step, following in steps:
+                taken = scan(events, cursor, guard, step, following, consumed)
+                if taken is None:
+                    break
+                bound += taken
+                cursor = taken[-1] + 1
             else:
-                # zero consumption: advance past this match's anchor so the
-                # same match is not reported forever
-                anchor_view_index = self._view_index_of(view, found[0][0])
-                start = anchor_view_index + 1
-            ordered = sorted(found, key=lambda pe: pe[0])
-            matches.append(ordered)
+                matches.append(bound)
+                if zero:
+                    start = bound[0] + 1
+                else:
+                    consumed.update(bound)
+                    start = 0
+                continue
+            if not bound:
+                break  # no run of the first step starts at or after start
+            # the run died after its anchor (a guard, or events ran out):
+            # retry past the dead anchor
+            start = bound[0] + 1
         return matches
 
-    @staticmethod
-    def _view_index_of(view: _Positioned, position: int) -> int:
-        for index, (pos, _event) in enumerate(view):
-            if pos == position:
-                return index
-        raise AssertionError("position vanished from view")
-
-    def _greedy_once(
+    def _each(
         self,
-        view: _Positioned,
-        steps: Sequence[Step],
-        start: int,
-        consumed: set,
-    ) -> Tuple[Optional[Match], Optional[int]]:
-        """One greedy skip-till-next scan of ``view`` from index ``start``.
-
-        Negation steps poison the gap they guard: if an event matching
-        the negated spec appears while scanning for the following
-        positive step, the scan fails.
-
-        Returns ``(match, first_bound_view_index)``; on failure the
-        second element tells the caller where the dead run anchored so
-        it can retry past it (``None`` when nothing anchored at all).
-        """
-        cursor = start
-        bound: Match = []
-        first_bound_index: Optional[int] = None
-        index = 0
-        while index < len(steps):
-            step = steps[index]
-            negation: Optional[NegationStep] = None
-            if isinstance(step, NegationStep):
-                negation = step
-                index += 1
-                if index >= len(steps):  # validated at Pattern construction
-                    raise AssertionError("dangling negation step")
-                step = steps[index]
-
-            if isinstance(step, SingleStep):
-                result = self._scan_single(view, cursor, step, negation, consumed)
-                if result is None:
-                    return None, first_bound_index
-                view_index, pos_event = result
-                bound.append(pos_event)
-                if first_bound_index is None:
-                    first_bound_index = view_index
-                cursor = view_index + 1
-            elif isinstance(step, AnyStep):
-                result_any = self._scan_any(view, cursor, step, negation, consumed)
-                if result_any is None:
-                    return None, first_bound_index
-                view_index, pos_events = result_any
-                bound.extend(pos_events)
-                if first_bound_index is None and pos_events:
-                    first_bound_index = self._view_index_of(view, pos_events[0][0])
-                cursor = view_index + 1
-            elif isinstance(step, KleeneStep):
-                following = self._next_positive_step(steps, index + 1)
-                result_kleene = self._scan_kleene(
-                    view, cursor, step, negation, consumed, following
-                )
-                if result_kleene is None:
-                    return None, first_bound_index
-                view_index, pos_events = result_kleene
-                bound.extend(pos_events)
-                if first_bound_index is None and pos_events:
-                    first_bound_index = self._view_index_of(view, pos_events[0][0])
-                cursor = view_index + 1
-            else:  # pragma: no cover - defensive
-                raise AssertionError(f"unknown step type {step!r}")
-            index += 1
-        return bound, first_bound_index
-
-    @staticmethod
-    def _next_positive_step(steps: Sequence[Step], index: int) -> Optional[Step]:
-        for step in steps[index:]:
-            if not isinstance(step, NegationStep):
-                return step
-        return None
-
-    @staticmethod
-    def _scan_kleene(
-        view: _Positioned,
+        events: Sequence[Event],
+        index: int,
         cursor: int,
-        step: KleeneStep,
-        negation: Optional[NegationStep],
-        consumed: set,
-        following: Optional[Step],
-    ) -> Optional[Tuple[int, List[Tuple[int, Event]]]]:
-        """Greedy run of step occurrences.
-
-        The run ends when ``max_count`` is reached, the window is
-        exhausted, or -- once ``min_count`` occurrences are bound -- an
-        event that the *following* positive step accepts appears (so
-        ``kleene(A); B`` does not swallow past the B that completes the
-        match).
-        """
-        taken: List[Tuple[int, Event]] = []
-        last_view_index = cursor - 1
-        for view_index in range(cursor, len(view)):
-            pos, event = view[view_index]
-            if pos in consumed:
+        bound: List[int],
+        consumed: Set[int],
+        found: List[List[int]],
+    ) -> None:
+        """Extend ``bound`` by step ``index`` in every way, in window order."""
+        if index == len(self._steps):
+            found.append(bound)
+            if self.consumption is ConsumptionPolicy.CONSUMED:
+                consumed.update(bound)
+            return
+        scan, guard, step, following = self._steps[index]
+        for i in range(cursor, len(events)):
+            if len(found) >= self.max_matches or (bound and bound[0] in consumed):
+                return  # capped, or a match consumed this prefix
+            if i in consumed:
                 continue
-            if negation is not None and not taken and negation.accepts(event):
-                return None
-            if (
-                len(taken) >= step.min_count
-                and following is not None
-                and following.accepts(event)
-                and not step.spec.matches(event)
-            ):
-                break
-            if step.spec.matches(event):
-                taken.append((pos, event))
-                last_view_index = view_index
-                if step.max_count is not None and len(taken) == step.max_count:
-                    break
-        if len(taken) < step.min_count:
-            return None
-        return last_view_index, taken
-
-    @staticmethod
-    def _scan_single(
-        view: _Positioned,
-        cursor: int,
-        step: SingleStep,
-        negation: Optional[NegationStep],
-        consumed: set,
-    ) -> Optional[Tuple[int, Tuple[int, Event]]]:
-        for view_index in range(cursor, len(view)):
-            pos, event = view[view_index]
-            if pos in consumed:
-                continue
-            if negation is not None and negation.accepts(event):
-                return None
+            event = events[i]
+            if guard is not None and guard.matches(event):
+                return
             if step.accepts(event):
-                return view_index, (pos, event)
-        return None
+                taken = scan(events, i, None, step, following, consumed)
+                if taken is not None:
+                    self._each(
+                        events, index + 1, taken[-1] + 1, bound + taken, consumed, found
+                    )
 
-    @staticmethod
-    def _scan_any(
-        view: _Positioned,
-        cursor: int,
-        step: AnyStep,
-        negation: Optional[NegationStep],
-        consumed: set,
-    ) -> Optional[Tuple[int, List[Tuple[int, Event]]]]:
-        taken: List[Tuple[int, Event]] = []
-        used_specs: set = set()
-        last_view_index = cursor - 1
-        for view_index in range(cursor, len(view)):
-            pos, event = view[view_index]
-            if pos in consumed:
-                continue
-            if negation is not None and not taken and negation.accepts(event):
-                return None
-            if step.distinct_specs:
-                spec_index = None
-                for si, s in enumerate(step.specs):
-                    if si not in used_specs and s.matches(event):
-                        spec_index = si
-                        break
-                if spec_index is None:
-                    continue
-                used_specs.add(spec_index)
-            else:
-                if not step.accepts(event):
-                    continue
-            taken.append((pos, event))
-            last_view_index = view_index
-            if len(taken) == step.n:
-                return last_view_index, taken
-        return None
-
-    # -- each -----------------------------------------------------------
-    def _match_each(self, positioned: _Positioned) -> List[Match]:
-        """Enumerate matches by backtracking, earliest-first, capped."""
-        assert isinstance(self.pattern, Pattern)
-        matches: List[Match] = []
-        consumed: set = set()
-
-        def backtrack(step_index: int, cursor: int, bound: Match) -> None:
-            if len(matches) >= self.max_matches:
-                return
-            steps = self.pattern.steps
-            if step_index == len(steps):
-                matches.append(sorted(bound, key=lambda pe: pe[0]))
-                if self.consumption is ConsumptionPolicy.CONSUMED:
-                    consumed.update(pos for pos, _e in bound)
-                return
-            step = steps[step_index]
-            negation: Optional[NegationStep] = None
-            if isinstance(step, NegationStep):
-                negation = step
-                step_index += 1
-                step = steps[step_index]
-            if isinstance(step, SingleStep):
-                for view_index in range(cursor, len(positioned)):
-                    pos, event = positioned[view_index]
-                    if pos in consumed:
-                        continue
-                    if negation is not None and negation.accepts(event):
-                        return
-                    if step.accepts(event):
-                        backtrack(step_index + 1, view_index + 1, bound + [(pos, event)])
-                        if len(matches) >= self.max_matches:
-                            return
-            elif isinstance(step, AnyStep):
-                found = self._scan_any(positioned, cursor, step, negation, consumed)
-                if found is not None:
-                    view_index, pos_events = found
-                    backtrack(step_index + 1, view_index + 1, bound + pos_events)
-            elif isinstance(step, KleeneStep):
-                # kleene runs are matched greedily, not enumerated
-                following = self._next_positive_step(self.pattern.steps, step_index + 1)
-                found = self._scan_kleene(
-                    positioned, cursor, step, negation, consumed, following
-                )
-                if found is not None:
-                    view_index, pos_events = found
-                    backtrack(step_index + 1, view_index + 1, bound + pos_events)
-            else:  # pragma: no cover - defensive
-                raise AssertionError(f"unknown step type {step!r}")
-
-        backtrack(0, 0, [])
-        return matches
-
-    # -- cumulative ------------------------------------------------------
-    def _match_cumulative(self, positioned: _Positioned) -> Optional[Match]:
-        """Fold every instance of every step into one composite match.
-
-        An instance of a later step counts only if it occurs after the
-        first instance of the previous step (sequence semantics).
-        """
-        assert isinstance(self.pattern, Pattern)
-        bound: Match = []
+    def _cumulative(
+        self, events: Sequence[Event], positions: Sequence[int]
+    ) -> List[Match]:
+        """Fold every instance of every step into one composite match."""
+        chosen: Set[int] = set()
         cursor = 0
-        for step in self.pattern.steps:
-            if isinstance(step, NegationStep):
-                continue
+        for _scan, guard, step, _following in self._steps:
             instances = [
-                (pos, event)
-                for pos, event in positioned[cursor:]
-                if step.accepts(event)
+                i for i in range(cursor, len(events)) if step.accepts(events[i])
             ]
-            if isinstance(step, AnyStep):
-                need = step.n
-            elif isinstance(step, KleeneStep):
-                need = step.min_count
-            else:
-                need = 1
-            if len(instances) < need:
-                return None
-            bound.extend(instances)
-            first_pos = instances[0][0]
-            cursor = self._view_index_of(positioned, first_pos) + 1
-        return sorted(bound, key=lambda pe: pe[0])
-
-    # ------------------------------------------------------------------
-    # conjunction patterns
-    # ------------------------------------------------------------------
-    def _match_conjunction(self, positioned: _Positioned) -> List[Match]:
-        assert isinstance(self.pattern, Conjunction)
-        order = positioned
-        if self.selection is SelectionPolicy.LAST:
-            order = list(reversed(positioned))
-        bound: Match = []
-        used_positions: set = set()
-        for s in self.pattern.specs:
-            chosen: Optional[Tuple[int, Event]] = None
-            for pos, event in order:
-                if pos in used_positions:
-                    continue
-                if s.matches(event):
-                    chosen = (pos, event)
-                    break
-            if chosen is None:
+            if len(instances) < minimal_count(step):
                 return []
-            used_positions.add(chosen[0])
-            bound.append(chosen)
-        return [sorted(bound, key=lambda pe: pe[0])]
+            first = instances[0]
+            if guard is not None:
+                for i in range(cursor, first + 1):
+                    if guard.matches(events[i]):
+                        return []
+            chosen.update(instances)
+            cursor = first + 1
+        return [[(positions[i], events[i]) for i in sorted(chosen)]]
+
+
+# ----------------------------------------------------------------------
+# compiling and scanning steps
+# ----------------------------------------------------------------------
+def _compile(steps: Sequence[Step]) -> Tuple[Guarded, ...]:
+    """Pair each positive step with its guard, its scan and its follower."""
+    positive: List[Tuple[Scan, Optional[EventSpec], Step]] = []
+    guard: Optional[EventSpec] = None
+    for step in steps:
+        if isinstance(step, NegationStep):
+            guard = step.spec
+            continue
+        if isinstance(step, SingleStep):
+            scan: Scan = _scan_single
+        elif isinstance(step, AnyStep):
+            shared = step.distinct_specs and _specs_meet(step.specs)
+            scan = partial(_scan_any, shared=True) if shared else _scan_any
+        elif isinstance(step, KleeneStep):
+            scan = _scan_kleene
+        else:
+            raise ValueError(f"unknown step type {step!r}")
+        positive.append((scan, guard, step))
+        guard = None
+    following: List[Optional[Step]] = [step for _s, _g, step in positive[1:]]
+    following.append(None)
+    return tuple(
+        (scan, guard, step, after)
+        for (scan, guard, step), after in zip(positive, following)
+    )
+
+
+def _specs_meet(specs: Sequence[EventSpec]) -> bool:
+    """Whether one event may match two of ``specs``."""
+    types = [s.types for s in specs]
+    if None in types:  # a spec of any type meets every other spec
+        return len(types) > 1
+    return len(frozenset().union(*types)) < sum(len(t) for t in types)
+
+
+def _scan_single(
+    events: Sequence[Event],
+    start: int,
+    guard: Optional[EventSpec],
+    step: SingleStep,
+    following: Optional[Step],
+    consumed: Set[int],
+) -> Optional[List[int]]:
+    matches = step.spec.matches
+    for i in range(start, len(events)):
+        if i in consumed:
+            continue
+        event = events[i]
+        if guard is not None and guard.matches(event):
+            return None
+        if matches(event):
+            return [i]
+    return None
+
+
+def _scan_any(
+    events: Sequence[Event],
+    start: int,
+    guard: Optional[EventSpec],
+    step: AnyStep,
+    following: Optional[Step],
+    consumed: Set[int],
+    shared: bool = False,
+) -> Optional[List[int]]:
+    specs = step.specs
+    owner: List[Optional[int]] = [None] * len(specs)
+    taken: List[int] = []
+    for i in range(start, len(events)):
+        if i in consumed:
+            continue
+        event = events[i]
+        if guard is not None and not taken and guard.matches(event):
+            return None
+        if step.distinct_specs:
+            for k, s in enumerate(specs):
+                if owner[k] is None and s.matches(event):
+                    owner[k] = i
+                    break
+            else:
+                # taken specs only: a join needs earlier events to trade
+                if not shared or not _assign(i, events, specs, owner):
+                    continue
+        elif not step.accepts(event):
+            continue
+        taken.append(i)
+        if len(taken) == step.n:
+            return taken
+    return None
+
+
+def _assign(
+    i: int,
+    events: Sequence[Event],
+    specs: Sequence[EventSpec],
+    owner: List[Optional[int]],
+    tried: Optional[Set[int]] = None,
+) -> bool:
+    """Give event ``i`` a spec of its own: a free one it matches, else
+    one whose owner can move to another spec (an augmenting path)."""
+    event = events[i]
+    for k, s in enumerate(specs):
+        if owner[k] is None and s.matches(event):
+            owner[k] = i
+            return True
+    tried = set() if tried is None else tried
+    for k, s in enumerate(specs):
+        if k in tried or not s.matches(event):
+            continue
+        tried.add(k)
+        holder = owner[k]
+        if holder is not None and _assign(holder, events, specs, owner, tried):
+            owner[k] = i
+            return True
+    return False
+
+
+def _scan_kleene(
+    events: Sequence[Event],
+    start: int,
+    guard: Optional[EventSpec],
+    step: KleeneStep,
+    following: Optional[Step],
+    consumed: Set[int],
+) -> Optional[List[int]]:
+    matches = step.spec.matches
+    taken: List[int] = []
+    for i in range(start, len(events)):
+        if i in consumed:
+            continue
+        event = events[i]
+        if guard is not None and not taken and guard.matches(event):
+            return None
+        if matches(event):
+            taken.append(i)
+            if len(taken) == step.max_count:
+                break
+        elif (
+            following is not None
+            and len(taken) >= step.min_count
+            and following.accepts(event)
+        ):
+            break  # the following step takes it from here
+    return taken if len(taken) >= step.min_count else None

@@ -59,14 +59,3 @@ class Query:
     def pattern_size(self) -> int:
         """Number of primitive events per full match."""
         return self.pattern.match_size()
-
-    def with_selection(self, selection: SelectionPolicy) -> "Query":
-        """Copy of this query under a different selection policy."""
-        return Query(
-            name=self.name,
-            pattern=self.pattern,
-            window_factory=self.window_factory,
-            selection=selection,
-            consumption=self.consumption,
-            max_matches_per_window=self.max_matches_per_window,
-        )

@@ -40,16 +40,16 @@ activation state -- a worker never makes a decision the parent has not
 configured.
 
 Fault tolerance (opt-in via ``checkpoint_path``): the worker
-periodically checkpoints each chain's replayable state -- counters,
-shedder state, matcher partial-match state where the deployment uses
-the incremental matcher -- to a virtual-clock-stamped JSON file via
-atomic rename.  A respawned worker restores that file at boot; the
-coordinator replays the windows the dead worker never acked (its
-replay cursor) and deduplicates by dispatch index, so the pair gives
-exactly-once *detections* even though individual shed decisions on
-replayed windows are re-made (they are deterministic, so re-making
-them yields bit-identical results).  The worker also heartbeats on
-idle, bounding how long a wedged worker can stall failure detection.
+periodically checkpoints each chain's replayable state -- counters and
+shedder state; the matcher evaluates each window whole and has none --
+to a virtual-clock-stamped JSON file via atomic rename.  A respawned
+worker restores that file at boot; the coordinator replays the windows
+the dead worker never acked (its replay cursor) and deduplicates by
+dispatch index, so the pair gives exactly-once *detections* even
+though individual shed decisions on replayed windows are re-made (they
+are deterministic, so re-making them yields bit-identical results).
+The worker also heartbeats on idle, bounding how long a wedged worker
+can stall failure detection.
 """
 
 from __future__ import annotations
@@ -61,14 +61,11 @@ import traceback
 from typing import Any, Dict, List, Optional
 
 from repro.cep.events import ComplexEvent
-from repro.cep.patterns.incremental import IncrementalWindowMatcher
 from repro.cep.patterns.query import Query
 from repro.cep.windows import Window
 from repro.core.persistence import (
     STATE_FORMAT_VERSION,
-    apply_matcher_state,
     apply_shedder_state,
-    matcher_state_to_dict,
     model_from_dict,
     read_json_checkpoint,
     shedder_state_to_dict,
@@ -221,10 +218,11 @@ class ShardChain:
 
         Captures everything a respawned worker cannot reconstruct from
         the fork image plus coordinator broadcasts: cumulative
-        counters, the shedder's counters/command/activation, and --
-        for incremental deployments -- the matcher's partial-match
-        progress.  The model is deliberately absent (coordinator-owned,
-        re-broadcast on recovery), keeping checkpoints small.
+        counters and the shedder's counters/command/activation.  The
+        matcher evaluates each window whole, so it carries nothing
+        between windows.  The model is deliberately absent
+        (coordinator-owned, re-broadcast on recovery), keeping
+        checkpoints small.
         """
         state: Dict[str, object] = {
             "model_version": self.model_version,
@@ -235,8 +233,6 @@ class ShardChain:
         }
         if self.shedder is not None:
             state["shedder"] = shedder_state_to_dict(self.shedder)
-        if isinstance(self.matcher, IncrementalWindowMatcher):
-            state["matcher"] = matcher_state_to_dict(self.matcher)
         return state
 
     def restore_state(self, state: Dict[str, Any]) -> None:
@@ -249,11 +245,6 @@ class ShardChain:
         shedder_state = state.get("shedder")
         if shedder_state is not None and self.shedder is not None:
             apply_shedder_state(self.shedder, shedder_state)
-        matcher_state = state.get("matcher")
-        if matcher_state is not None and isinstance(
-            self.matcher, IncrementalWindowMatcher
-        ):
-            apply_matcher_state(self.matcher, matcher_state)
 
 
 class CheckpointWriter:
@@ -393,7 +384,7 @@ def shard_main(
                 checkpoint_path, chains, interval=checkpoint_interval
             )
             # a respawned worker finds its predecessor's checkpoint here
-            # and resumes counters/shedder/matcher state from it; a
+            # and resumes counters/shedder state from it; a
             # first boot finds nothing and starts fresh
             writer.restore()
         started = time.perf_counter()

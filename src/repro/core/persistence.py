@@ -9,8 +9,7 @@ shedder without retraining.
 
 Beyond models, the elastic cluster (``repro.cluster``) needs the rest
 of a shard's working state to survive a worker crash: per-shard window
-buffers, the shedder's counters and drop command, and (for incremental
-deployments) the matcher's partial-match progress.  The serializers
+buffers and the shedder's counters and drop command.  The serializers
 here are the shared vocabulary of that checkpoint format -- every
 payload carries a ``format_version`` and every loader validates it, so
 a stale or foreign file fails loudly instead of resuming from garbage.
@@ -26,10 +25,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.cep.events import Event
-from repro.cep.patterns.incremental import IncrementalWindowMatcher
 from repro.cep.windows import Window
 from repro.core.model import UtilityModel
 from repro.core.position_shares import PositionShares
@@ -38,7 +36,7 @@ from repro.shedding.base import DropCommand, LoadShedder
 
 FORMAT_VERSION = 1
 
-#: Version of the runtime-state (event/window/shedder/matcher/checkpoint)
+#: Version of the runtime-state (event/window/shedder/checkpoint)
 #: payloads.  Independent of the model format: models are long-lived
 #: artifacts, checkpoints are crash-recovery scratch.
 STATE_FORMAT_VERSION = 1
@@ -220,82 +218,6 @@ def apply_shedder_state(
         shedder.deactivate()
     shedder.decisions = int(payload["decisions"])
     shedder.drops = int(payload["drops"])
-
-
-# ----------------------------------------------------------------------
-# matcher partial-match state (incremental evaluation)
-# ----------------------------------------------------------------------
-def _positioned_to_list(
-    pairs: List[Tuple[int, Event]]
-) -> List[List[Any]]:
-    return [[position, event_to_dict(event)] for position, event in pairs]
-
-
-def _positioned_from_list(
-    payload: List[Any],
-) -> List[Tuple[int, Event]]:
-    return [
-        (int(position), event_from_dict(event)) for position, event in payload
-    ]
-
-
-def matcher_state_to_dict(
-    matcher: IncrementalWindowMatcher,
-) -> Dict[str, Any]:
-    """Serialise an incremental matcher's partial-match progress.
-
-    The batch :class:`~repro.cep.patterns.matcher.PatternMatcher` is
-    stateless across windows (each window is evaluated whole), but the
-    event-at-a-time :class:`IncrementalWindowMatcher` carries a live
-    run: which step the automaton has reached, the events already
-    bound, and the positions consumed by earlier matches.  This
-    captures that run exactly, so a checkpointed window can resume
-    matching mid-window after a crash.
-    """
-    return {
-        "format_version": STATE_FORMAT_VERSION,
-        "pattern": matcher.pattern.name,
-        "max_matches": matcher.max_matches,
-        "matches_found": matcher._matches_found,  # noqa: SLF001
-        "consumed": sorted(matcher._consumed),  # noqa: SLF001
-        "step_index": matcher._step_index,  # noqa: SLF001
-        "bound": _positioned_to_list(matcher._bound),  # noqa: SLF001
-        "any_used_specs": sorted(matcher._any_used_specs),  # noqa: SLF001
-        "any_taken": _positioned_to_list(matcher._any_taken),  # noqa: SLF001
-        "kleene_taken": _positioned_to_list(
-            matcher._kleene_taken  # noqa: SLF001
-        ),
-    }
-
-
-def apply_matcher_state(
-    matcher: IncrementalWindowMatcher, payload: Mapping[str, Any]
-) -> None:
-    """Restore :func:`matcher_state_to_dict` output onto ``matcher``.
-
-    The matcher must be built for the same pattern; resuming a run
-    against a different pattern would silently mis-match, so the
-    pattern name is validated first.
-    """
-    _require_version(payload, STATE_FORMAT_VERSION, "matcher state")
-    if payload["pattern"] != matcher.pattern.name:
-        raise ValueError(
-            f"matcher state is for pattern {payload['pattern']!r}, "
-            f"not {matcher.pattern.name!r}"
-        )
-    matcher._matches_found = int(payload["matches_found"])  # noqa: SLF001
-    matcher._consumed = set(payload["consumed"])  # noqa: SLF001
-    matcher._step_index = int(payload["step_index"])  # noqa: SLF001
-    matcher._bound = _positioned_from_list(payload["bound"])  # noqa: SLF001
-    matcher._any_used_specs = set(  # noqa: SLF001
-        payload["any_used_specs"]
-    )
-    matcher._any_taken = _positioned_from_list(  # noqa: SLF001
-        payload["any_taken"]
-    )
-    matcher._kleene_taken = _positioned_from_list(  # noqa: SLF001
-        payload["kleene_taken"]
-    )
 
 
 # ----------------------------------------------------------------------

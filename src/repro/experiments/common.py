@@ -98,6 +98,7 @@ def strategy_pipeline(
     rate_factor: float,
     model: Optional[UtilityModel] = None,
     deploy: Optional[Mapping[str, Any]] = None,
+    reference_size: Optional[int] = None,
 ) -> Pipeline:
     """A trained, deployed single-query pipeline for one experiment run.
 
@@ -105,9 +106,10 @@ def strategy_pipeline(
     trained ``model`` is given (it is deployed as is, never modified);
     the comparator strategies skip model fitting, pin the reference
     window size to the training stream's average (the historical
-    protocol) and only warm their online type statistics.  ``deploy``
-    holds extra :meth:`Pipeline.deploy` arguments
-    (``partition_override``, ``prime``).
+    protocol; ``reference_size`` when it is precomputed) and only warm
+    their online type statistics.  ``deploy`` holds extra
+    :meth:`Pipeline.deploy` arguments (``partition_override``,
+    ``prime``).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
@@ -121,7 +123,9 @@ def strategy_pipeline(
         .check_interval(config.check_interval)
     )
     if strategy != "espice":
-        builder.reference_size(reference_window_size(query, train_stream))
+        if reference_size is None:
+            reference_size = reference_window_size(query, train_stream)
+        builder.reference_size(reference_size)
     elif model is not None:
         builder.model(model)
     pipeline = builder.build()
@@ -149,15 +153,17 @@ def run_quality_point(
     mean_memberships: Optional[float] = None,
     deploy: Optional[Mapping[str, Any]] = None,
     arrival_times: Optional[List[float]] = None,
+    reference_size: Optional[int] = None,
 ) -> QualityOutcome:
     """One full experiment point: train, overload, compare to truth.
 
-    ``truth``, ``model`` and ``mean_memberships`` may be precomputed
-    (none depends on the rate; only the model on the strategy) and
-    shared across points to save time.  ``deploy`` is forwarded to
-    :func:`strategy_pipeline`; ``arrival_times`` replaces the uniform
-    arrivals at ``rate_factor * throughput`` (a burst), the detector
-    still expecting that rate.
+    ``truth``, ``model``, ``mean_memberships`` and the comparators'
+    ``reference_size`` may be precomputed (none depends on the rate;
+    only the model on the strategy) and shared across points to save
+    time.  ``deploy`` is forwarded to :func:`strategy_pipeline`;
+    ``arrival_times`` replaces the uniform arrivals at
+    ``rate_factor * throughput`` (a burst), the detector still
+    expecting that rate.
     """
     cfg = config if config is not None else ExperimentConfig()
     if truth is None:
@@ -165,7 +171,7 @@ def run_quality_point(
     if mean_memberships is None:
         mean_memberships = measure_mean_memberships(query, eval_stream)
     pipeline = strategy_pipeline(
-        strategy, query, train_stream, cfg, rate_factor, model, deploy
+        strategy, query, train_stream, cfg, rate_factor, model, deploy, reference_size
     )
     result = pipeline.simulate(
         eval_stream,

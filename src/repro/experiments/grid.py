@@ -9,6 +9,7 @@ point through :func:`~repro.experiments.common.run_quality_point` and
 computes everything a point does not own exactly once:
 
 - the trained eSPICE model per (query, train stream, bin size),
+- the comparators' reference window size per (query, train stream),
 - truth and mean memberships per (query, eval stream),
 - the outcome per point, so figures that show the same point (Fig. 6
   is Fig. 5's Q1-first and Q3 points read for false positives) share it.
@@ -35,6 +36,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     QualityOutcome,
     format_rows,
+    reference_window_size,
     run_quality_point,
 )
 from repro.pipeline import Pipeline
@@ -214,6 +216,14 @@ class GridRunner:
 
         return self._once(("model", queries, streams, bin_size), train)
 
+    def reference_size(self, query: Call, streams: Call) -> int:
+        """The comparators' reference window size on the train stream."""
+
+        def measure() -> int:
+            return reference_window_size(query(), streams()[0])
+
+        return self._once(("reference", query, streams), measure)
+
     def _eval(self, query: Call, streams: Call) -> Tuple[list, float]:
         """(truth, mean memberships) of ``query`` on the eval stream."""
 
@@ -266,9 +276,11 @@ class GridRunner:
         def simulate() -> QualityOutcome:
             train_stream, eval_stream = spec.streams()
             truth, memberships = self._eval(query, spec.streams)
-            model = None
+            model = reference = None
             if strategy == "espice":
                 model = self.model(trained_on, spec.streams, config.bin_size)
+            else:
+                reference = self.reference_size(query, spec.streams)
             arrivals = None
             if burst is not None:
                 if spec.burst_base is None:
@@ -292,6 +304,7 @@ class GridRunner:
                 mean_memberships=memberships,
                 deploy=deploy,
                 arrival_times=arrivals,
+                reference_size=reference,
             )
 
         key = (

@@ -500,12 +500,6 @@ class QueryChain:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def enable_obs(self, obs: "Observability") -> None:
-        """Swap in instrumented dispatch (see :mod:`repro.obs.instrument`)."""
-        from repro.obs.instrument import instrument_chain
-
-        instrument_chain(self, obs)
-
     def disable_obs(self) -> None:
         """Restore plain prebound dispatch (observability off)."""
         from repro.obs.instrument import deinstrument_chain

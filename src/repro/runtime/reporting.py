@@ -64,37 +64,6 @@ class ResultTable:
             path.write_text(self.to_csv())
 
 
-def metrics_table(snapshot, title: str = "Metrics") -> ResultTable:
-    """Render a :meth:`repro.obs.registry.Registry.snapshot` as a table.
-
-    Counters and gauges get one row per labelled child; histograms are
-    summarised to count/mean/p50/p95/p99 -- the same digest the JSON
-    snapshot carries, laid out for committing as Markdown.
-    """
-    table = ResultTable(
-        title=title,
-        columns=["metric", "labels", "value", "p50", "p95", "p99"],
-    )
-    for name in sorted(snapshot):
-        family = snapshot[name]
-        for sample in family["samples"]:
-            labels = ",".join(
-                f"{k}={v}" for k, v in sorted(sample["labels"].items())
-            )
-            if family["type"] == "histogram":
-                table.add_row(
-                    name,
-                    labels,
-                    f"n={sample['count']} mean={sample['mean']:.2g}",
-                    f"{sample['p50']:.2g}",
-                    f"{sample['p95']:.2g}",
-                    f"{sample['p99']:.2g}",
-                )
-            else:
-                table.add_row(name, labels, sample["value"], "", "", "")
-    return table
-
-
 def combine_markdown(tables: Iterable[ResultTable], heading: str = "") -> str:
     """Join tables into one Markdown document."""
     parts: List[str] = []

@@ -60,11 +60,6 @@ class IngestReport:
     reconnects: int = 0
     completed: bool = True
 
-    @property
-    def saw_backpressure(self) -> bool:
-        """Whether the server pushed back at least once."""
-        return self.overloaded_responses > 0
-
 
 #: server rejections worth retrying: each carries (or implies) a
 #: retry_after hint and clears once the server's pressure does

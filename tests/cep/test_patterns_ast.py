@@ -85,6 +85,11 @@ class TestPattern:
         with pytest.raises(ValueError):
             Pattern("p", (SingleStep(spec("A")), neg))
 
+    def test_negations_cannot_be_adjacent(self):
+        a, b = SingleStep(spec("A")), SingleStep(spec("B"))
+        with pytest.raises(ValueError, match="negation"):
+            Pattern("p", (a, NegationStep(spec("X")), NegationStep(spec("Y")), b))
+
     def test_match_size_counts_any_steps(self):
         pattern = seq("p", spec("A"), any_of(3, [spec(f"B{i}") for i in range(5)]))
         assert pattern.match_size() == 4

@@ -1,10 +1,10 @@
 """Property tests for runtime-state persistence (repro.core.persistence).
 
 The checkpointed-recovery tentpole rests on these serializers being
-exact: a model, event, window, shedder or matcher that survives a
+exact: a model, event, window or shedder that survives a
 dict -> JSON -> dict roundtrip must be indistinguishable from the
-original, for *any* input -- including non-ASCII attribute keys,
-negative timestamps, and matcher runs frozen mid-window.  Hypothesis
+original, for *any* input -- including non-ASCII attribute keys and
+negative timestamps.  Hypothesis
 drives the "any input" part; explicit tests pin the error contract for
 malformed payloads.
 """
@@ -17,16 +17,13 @@ from hypothesis import strategies as st
 
 from repro.cep.events import Event, StreamBuilder
 from repro.cep.patterns import seq, spec
-from repro.cep.patterns.incremental import IncrementalWindowMatcher
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows, Window
 from repro.core.persistence import (
     STATE_FORMAT_VERSION,
-    apply_matcher_state,
     apply_shedder_state,
     event_from_dict,
     event_to_dict,
-    matcher_state_to_dict,
     model_from_dict,
     model_to_dict,
     read_json_checkpoint,
@@ -217,50 +214,6 @@ class TestShedderStateRoundtrip:
         assert [shedder.should_drop(*args) for args in probe] == [
             fresh.should_drop(*args) for args in probe
         ]
-
-
-# ----------------------------------------------------------------------
-# matcher partial-match state
-# ----------------------------------------------------------------------
-class TestMatcherStateRoundtrip:
-    def pattern(self):
-        return seq("toy", spec("A"), spec("B"), spec("C"))
-
-    @given(prefix=st.integers(min_value=0, max_value=5))
-    @settings(max_examples=20, deadline=None)
-    def test_frozen_run_resumes_identically(self, prefix):
-        """Feed ``prefix`` events, freeze, thaw into a fresh matcher;
-        both must finish the window with identical matches."""
-        stream = [
-            Event(t, i, float(i))
-            for i, t in enumerate(["A", "X", "B", "X", "C", "A"])
-        ]
-        original = IncrementalWindowMatcher(self.pattern())
-        for position, event in enumerate(stream[:prefix]):
-            original.feed(event, position)
-
-        resumed = IncrementalWindowMatcher(self.pattern())
-        apply_matcher_state(
-            resumed, json_roundtrip(matcher_state_to_dict(original))
-        )
-
-        original_matches, resumed_matches = [], []
-        for position, event in enumerate(stream[prefix:], start=prefix):
-            original_matches.extend(original.feed(event, position))
-            resumed_matches.extend(resumed.feed(event, position))
-        original_matches.extend(original.finish())
-        resumed_matches.extend(resumed.finish())
-        # a Match is a list of (position, event) bindings
-        assert [
-            [(pos, e.seq) for pos, e in m] for m in original_matches
-        ] == [[(pos, e.seq) for pos, e in m] for m in resumed_matches]
-
-    def test_wrong_pattern_is_rejected(self):
-        matcher = IncrementalWindowMatcher(self.pattern())
-        state = matcher_state_to_dict(matcher)
-        other = IncrementalWindowMatcher(seq("other", spec("A")))
-        with pytest.raises(ValueError, match="pattern"):
-            apply_matcher_state(other, state)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The figure grid computes each artifact once, keyed by the spec.
 
-Trainings and membership measurements are counted by wrapping
-``Pipeline.train`` and ``measure_mean_memberships``, so this pins the
-memo's structure independently of timing.
+Trainings, membership measurements and reference-size computations
+are counted by wrapping ``Pipeline.train``, ``measure_mean_memberships``
+and ``reference_window_size``, so this pins the memo's structure
+independently of timing.
 """
 
 from dataclasses import replace
@@ -29,10 +30,12 @@ SMALL = {
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts trainings and membership measurements while the test runs."""
-    count = {"train": 0, "memberships": 0}
+    """Counts trainings, membership measurements and reference sizes
+    while the test runs."""
+    count = {"train": 0, "memberships": 0, "reference": 0}
     train = Pipeline.train
     measure = simulation.measure_mean_memberships
+    reference = common.reference_window_size
 
     def counting_train(self, stream):
         count["train"] += 1
@@ -42,9 +45,15 @@ def counted(monkeypatch):
         count["memberships"] += 1
         return measure(query, stream)
 
+    def counting_reference(query, stream):
+        count["reference"] += 1
+        return reference(query, stream)
+
     monkeypatch.setattr(Pipeline, "train", counting_train)
     for module in (simulation, common, grid):
         monkeypatch.setattr(module, "measure_mean_memberships", counting_measure)
+    for module in (common, grid):
+        monkeypatch.setattr(module, "reference_window_size", counting_reference)
     return count
 
 
@@ -63,8 +72,9 @@ def test_quick_fig5_fig6_grid_computes_each_model_and_membership_once(counted):
         for name in RUNNERS["fig5"] + RUNNERS["fig6"]
     }
     # 14 queries: Q1 first/last x 3, Q2 first/last x 2, Q3 x 2, Q4 x 2;
-    # the model does not depend on the rate, fig6 re-reads fig5's points
-    assert counted == {"train": 14, "memberships": 14}
+    # the model and BL's reference size do not depend on the rate, fig6
+    # re-reads fig5's points
+    assert counted == {"train": 14, "memberships": 14, "reference": 14}
     assert figures["fig6_q1"].points == figures["fig5_q1_first"].points
     assert figures["fig6_q3"].points == figures["fig5_q3"].points
     # the memoised model is shared read-only
