@@ -1,7 +1,9 @@
 """`repro.cluster`: sharded multi-process execution of pipelines.
 
-The scale-out subsystem: a :class:`ShardedPipeline` runs a built
-:class:`repro.pipeline.Pipeline` across N real worker processes, with
+The scale-out subsystem: a :class:`ShardedPipeline` is a
+:class:`repro.pipeline.Pipeline` whose windows execute on N real
+worker processes -- fed, run and finished through the same methods --
+with
 
 - pluggable :mod:`routing <repro.cluster.routing>` of complete windows
   (round-robin, hash-by-key, least-loaded) -- windows are the paper's

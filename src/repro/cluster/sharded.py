@@ -1,8 +1,10 @@
-"""`ShardedPipeline`: a Pipeline executed across real worker processes.
+"""`ShardedPipeline`: a Pipeline whose windows execute on worker processes.
 
-The sharded runtime splits a built :class:`repro.pipeline.Pipeline`
-into the three roles of a window-parallel CEP deployment (paper §5,
-RIP/SPECTRE shape):
+A :class:`ShardedPipeline` *is* a :class:`repro.pipeline.Pipeline`
+(``run``, ``feed``, ``feed_many``, ``flush_pending``, ``finish`` and
+their one batching loop are inherited); it overrides only where a
+batch executes, and splits into the three roles of a window-parallel
+CEP deployment (paper §5, RIP/SPECTRE shape):
 
 - the **router** (parent process) runs every chain's ingress half --
   admission, custom middleware, window assignment -- and routes each
@@ -47,8 +49,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cep.events import ComplexEvent, Event
 from repro.cluster.coordinator import ClusterCoordinator, ClusterSnapshot
@@ -67,8 +69,8 @@ from repro.core.persistence import (
     window_to_dict,
     write_json_atomic,
 )
-from repro.pipeline.batching import EventBatch, iter_batches
-from repro.pipeline.pipeline import Pipeline
+from repro.pipeline.batching import EventBatch
+from repro.pipeline.pipeline import Pipeline, PipelineResult
 from repro.shedding.base import DropCommand
 
 #: Capacity (in batches) of each worker's worker->coordinator result
@@ -84,26 +86,12 @@ RESULT_QUEUE_BATCHES = 4096
 
 
 @dataclass
-class ShardedResult:
-    """Outcome of one :meth:`ShardedPipeline.run` sharded replay."""
+class ShardedResult(PipelineResult):
+    """A :class:`~repro.pipeline.PipelineResult` of a cluster ``run``,
+    plus its wall time and the cluster snapshot taken at its end."""
 
-    matches: Dict[str, List[ComplexEvent]]
-    events_fed: int
     wall_seconds: float
     snapshot: ClusterSnapshot
-
-    @property
-    def complex_events(self) -> List[ComplexEvent]:
-        """The first (or only) query's detections, in sequential order."""
-        return next(iter(self.matches.values()), [])
-
-    def for_query(self, name: str) -> List[ComplexEvent]:
-        """Detections of query ``name``."""
-        return self.matches[name]
-
-    def totals(self) -> Dict[str, int]:
-        """Detections per query."""
-        return {name: len(events) for name, events in self.matches.items()}
 
     @property
     def events_per_second(self) -> float:
@@ -124,7 +112,6 @@ class _ChainState:
         # sharded run predicts exactly like the sequential run would
         self.size_sum, self.size_count = chain.operator.predictor_state
         self.pending_events = 0  # this chain's in-flight backpressure
-        self.collected: List[ComplexEvent] = []
 
     def predict(self, window) -> float:
         """Update-then-predict for a complete window about to be routed.
@@ -141,8 +128,16 @@ class _ChainState:
         return self.size_sum / self.size_count
 
 
-class ShardedPipeline:
-    """Multi-process sharded execution of a built pipeline."""
+class ShardedPipeline(Pipeline):
+    """A :class:`~repro.pipeline.Pipeline` whose windows run on forked shards.
+
+    Two ``linger`` bounds apply: the wrapped pipeline's
+    ``PipelineConfig.linger`` cuts the router's micro-batches in event
+    time, as it does in-process; ``linger`` here is the wall-clock bound
+    after which each shard's :class:`~repro.cluster.transport.SpanLink`
+    flushes a partly filled IPC batch.  ``batch_size`` sizes both the
+    router's micro-batches and the IPC batches.
+    """
 
     def __init__(
         self,
@@ -160,8 +155,6 @@ class ShardedPipeline:
     ) -> None:
         if shards <= 0:
             raise ValueError("shard count must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch size must be positive")
         if checkpoint_interval <= 0:
             raise ValueError("checkpoint interval must be positive")
         for chain in pipeline.chains:
@@ -181,7 +174,10 @@ class ShardedPipeline:
                     "use ingress stages (they run on the router) or a "
                     ".sink() (fires on the merged, ordered detections)"
                 )
-        self.pipeline = pipeline
+        # the router cuts its micro-batches at the cluster's batch size
+        super().__init__(
+            pipeline.chains, replace(pipeline.config, batch_size=batch_size)
+        )
         self.shards = shards
         self.router = create_router(router, shards)
         self.batch_size = batch_size
@@ -215,48 +211,30 @@ class ShardedPipeline:
         self._last_command: Dict[str, Tuple[Optional[DropCommand], bool]] = {}
         self._sync_token = 0
         self._last_check = 0.0
-        #: live-feed micro-batch of the serve surface (feed/finish)
-        self._live_batch = EventBatch()
         self._failure_detector = FailureDetector(timeout=heartbeat_timeout)
         self._windows_since_checkpoint = 0
         self.coordinator: Optional[ClusterCoordinator] = None
-        self.observability = None
-        self._obs_collector = None
+        self._cluster_collector = None
 
     # ------------------------------------------------------------------
-    # pipeline lifecycle proxies (all before start())
+    # pipeline lifecycle (all before start())
     # ------------------------------------------------------------------
-    @property
-    def chains(self):
-        """The wrapped pipeline's query chains."""
-        return self.pipeline.chains
-
-    @property
-    def model(self):
-        """The first (or only) chain's trained model."""
-        return self.pipeline.model
-
-    @property
-    def models(self):
-        """Trained models per query name."""
-        return self.pipeline.models
-
     def train(self, stream: Iterable[Event]) -> "ShardedPipeline":
         """Fit every chain's model (coordinator-side; before start)."""
         self._require_not_started("train")
-        self.pipeline.train(stream)
+        super().train(stream)
         return self
 
     def warm(self, stream: Iterable[Event]) -> "ShardedPipeline":
         """Warm online shedder statistics (before start)."""
         self._require_not_started("warm")
-        self.pipeline.warm(stream)
+        super().warm(stream)
         return self
 
-    def deploy(self, **kwargs) -> "ShardedPipeline":
-        """Build shedders/detectors on the inner pipeline (before start)."""
+    def deploy(self, *args: Any, **kwargs: Any) -> "ShardedPipeline":
+        """Build shedders/detectors on the chains (before start)."""
         self._require_not_started("deploy")
-        self.pipeline.deploy(**kwargs)
+        super().deploy(*args, **kwargs)
         return self
 
     def _require_not_started(self, what: str) -> None:
@@ -266,6 +244,13 @@ class ShardedPipeline:
                 "configured pipeline at fork (use retrain() for live model "
                 "updates)"
             )
+
+    def simulate(self, *args: Any, **kwargs: Any) -> Any:
+        """Not on a cluster: virtual time is an in-process replay."""
+        raise TypeError(
+            "a ShardedPipeline cannot simulate(); replay across shards with "
+            "repro.runtime.simulation.simulate_sharded(pipeline, stream, ...)"
+        )
 
     # ------------------------------------------------------------------
     # worker lifecycle
@@ -280,7 +265,7 @@ class ShardedPipeline:
                 "queries carry predicates (closures) that cannot cross a "
                 "spawn boundary"
             )
-        chains = self.pipeline.chains
+        chains = self.chains
         self._chain_states = [_ChainState(chain) for chain in chains]
         trained_rates = {}
         for chain in chains:
@@ -329,7 +314,7 @@ class ShardedPipeline:
         model and parent-side shedder state; broadcast-only state (the
         detector's drop commands) is re-sent by the caller.
         """
-        chains = self.pipeline.chains
+        chains = self.chains
         coordinator = self.coordinator
         # the per-shard feed stays unbounded by design: the router
         # must never block on a slow or *dead* shard (worker death
@@ -400,31 +385,33 @@ class ShardedPipeline:
         """Stop every worker (idempotent; terminates stragglers)."""
         if not self.started:
             return
-        for sender in self._senders:
-            try:
-                sender.send(("stop",))
-                sender.flush()
-            except (OSError, ValueError):  # queue already gone
-                pass
-        for process in self._workers:
-            process.join(timeout=timeout)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-        # release the queues without joining their feeder threads: after
-        # a worker death the in-queue may hold undeliverable pickled
-        # windows, and waiting for them to flush would hang interpreter
-        # exit (multiprocessing joins feeder threads atexit)
-        for q in [*self._in_queues, *self._out_queues]:
-            if q is None:
-                continue
-            q.cancel_join_thread()
-            q.close()
+        self._stop_workers(list(range(len(self._workers))), timeout)
         self._workers = []
         self._senders = []
         self._in_queues = []
         self._out_queues = []
         self.started = False
+
+    def _stop_workers(self, shard_ids: List[int], timeout: float) -> None:
+        """Stop, join (or terminate) workers; release their queues."""
+        for shard_id in shard_ids:
+            try:
+                self._senders[shard_id].send(("stop",))
+                self._senders[shard_id].flush()
+            except (OSError, ValueError):  # queue already gone
+                pass
+        for shard_id in shard_ids:
+            process = self._workers[shard_id]
+            process.join(timeout=timeout)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=1.0)
+            # release the queues without joining their feeder threads:
+            # a dead worker's in-queue may hold undeliverable windows,
+            # and flushing them would hang interpreter exit
+            for q in (self._in_queues[shard_id], self._out_queues[shard_id]):
+                q.cancel_join_thread()
+                q.close()
 
     def __enter__(self) -> "ShardedPipeline":
         return self.start()
@@ -439,195 +426,103 @@ class ShardedPipeline:
             pass
 
     # ------------------------------------------------------------------
-    # the sharded run
+    # where a batch executes: the Pipeline hooks
     # ------------------------------------------------------------------
-    def run(self, stream: Iterable[Event]) -> ShardedResult:
-        """Replay ``stream`` through the cluster; merge-and-order results.
+    def run(
+        self, stream: Iterable[Event], batch_size: Optional[int] = None
+    ) -> ShardedResult:
+        """``Pipeline.run``, timed, with the cluster snapshot attached.
 
-        The router ingests events in stream order -- micro-batched into
-        :class:`~repro.pipeline.batching.EventBatch` objects of
-        ``batch_size`` events -- ships each batch's complete windows to
-        the shards as single ``winbatch`` messages (the batch formed at
-        ingress is what travels; windows are not re-wrapped one message
-        at a time), and the coordinator releases detections in dispatch
-        order: the returned per-query lists are identical (contents
-        *and* order) to a sequential ``Pipeline.run`` /
-        ``simulate_pipeline`` of the same deployment.
+        Detections equal a sequential ``Pipeline.run``'s (contents and
+        order); sinks fire as the coordinator releases merged results.
         """
         self.start()
-        coordinator = self.coordinator
-        t_start = time.perf_counter()
-        events_fed = 0
-        for batch in iter_batches(stream, self.batch_size):
-            self._ingest_batch(batch, live=False)
-            events_fed += len(batch.events)
-        # end of stream: still-open windows flush as truncated windows
-        for state in self._chain_states:
-            per_shard = {}
-            for window in state.chain.window_assign.flush():
-                shard, entry = self._stamp(state, window)
-                per_shard.setdefault(shard, []).append(entry)
-            self._ship(state, per_shard)
-        self._sync()
-        wall = time.perf_counter() - t_start
-
-        matches: Dict[str, List[ComplexEvent]] = {}
-        for state in self._chain_states:
-            state.collected.extend(coordinator.take_ordered(state.name))
-            ordered = state.collected
-            state.collected = []
-            if ordered:
-                # sinks fire here, in sequential order (batch semantics:
-                # sharded emission happens at merge time, not per event)
-                state.chain.emit.dispatch(ordered)
-            matches[state.name] = ordered
+        started = time.perf_counter()
+        result = super().run(stream, batch_size)
         return ShardedResult(
-            matches=matches,
-            events_fed=events_fed,
-            wall_seconds=wall,
+            matches=result.matches,
+            metrics=result.metrics,
+            events_fed=result.events_fed,
+            wall_seconds=time.perf_counter() - started,
             snapshot=self.snapshot(),
         )
 
-    def _ingest_batch(self, batch: EventBatch, live: bool) -> None:
-        """Run one event batch through every chain's ingress and ship it.
-
-        The shared per-batch step of :meth:`run` (replay) and the live
-        feed surface (:meth:`feed`/:meth:`feed_many`): ingress stages,
-        window stamping/routing, the ``winbatch`` ship, a result drain
-        and the periodic health/overload duty.  ``live`` selects the
-        overload-check semantics (see :meth:`_check_overload`).
-        """
-        coordinator = self.coordinator
-        # a bounded queue admits by its depth between batches, so its
-        # enqueue and drain interleave per event (see
-        # QueryChain.ingest_batch)
-        if self.pipeline.config.queue_capacity is None:
-            pieces = [batch]
-        else:
-            pieces = [
-                EventBatch([event], [now])
-                for event, now in zip(batch.events, batch.nows)
-            ]
-        for state in self._chain_states:
-            chain = state.chain
-            # synchronous drain, like QueryChain.run_batch: the staging
-            # depth of the batch is not backlog
-            assign_stage = chain.window_assign
-            depth_before = assign_stage.max_queue_depth
-            queued = 0
-            ingested = []
-            for piece in pieces:
-                ingested.append(chain.ingest_batch(piece))
-                queued += chain.queue.consume_all()
-            assign_stage.max_queue_depth = max(depth_before, 1 if queued else 0)
-            per_shard: Dict[int, List[tuple]] = {}
-            for stage_batch in ingested:
-                items = stage_batch.items
-                for index in stage_batch.closes:
-                    for window in items[index].closed_windows:
-                        shard, entry = self._stamp(state, window)
-                        per_shard.setdefault(shard, []).append(entry)
-            self._ship(state, per_shard)
-        coordinator.events_ingested += len(batch.events)
-        if self._in_flight:
-            # nothing owed, nothing to poll for (heartbeats can wait: a
-            # shard is only suspected while it owes results)
-            self._drain_results()
-        if self.fault_tolerant:
-            self._check_health()
-        self._check_overload(live=live)
-
-    # ------------------------------------------------------------------
-    # live feed surface (the serve front door drives these)
-    # ------------------------------------------------------------------
-    def feed(
-        self, event: Event, now: Optional[float] = None
-    ) -> Dict[str, List[ComplexEvent]]:
-        """Push one live event into the cluster (serve-compatible)."""
-        return self.feed_many((event,), now=now)
-
-    def feed_many(
-        self, events: Iterable[Event], now: Optional[float] = None
-    ) -> Dict[str, List[ComplexEvent]]:
-        """Push a slice of live events, in order (serve-compatible).
-
-        The sharded twin of :meth:`repro.pipeline.Pipeline.feed_many`:
-        events buffer into a ``batch_size`` micro-batch; a full batch
-        runs the ingress half, ships windows to the shards and releases
-        whatever the coordinator has merged so far -- in dispatch
-        order, through the emit stage, so subscribed sinks observe the
-        exact sequential detection stream.  Returns the detections
-        released as a consequence of this call (usually empty while
-        buffering).
-        """
-        self.start()
-        out: Dict[str, List[ComplexEvent]] = {
-            state.name: [] for state in self._chain_states
-        }
-        for event in events:
-            self._live_batch.append(
-                event, now if now is not None else event.timestamp
-            )
-            if len(self._live_batch) >= self.batch_size:
-                self._flush_live(out)
-        return out
-
-    def flush_pending(self) -> Dict[str, List[ComplexEvent]]:
-        """Run the buffered live micro-batch and release merged results."""
-        self.start()
-        out: Dict[str, List[ComplexEvent]] = {
-            state.name: [] for state in self._chain_states
-        }
-        self._flush_live(out)
-        return out
-
-    def _flush_live(self, out: Dict[str, List[ComplexEvent]]) -> None:
-        batch, self._live_batch = self._live_batch, EventBatch()
+    def _collect_batch(
+        self,
+        batch: Optional[EventBatch],
+        out: Optional[Dict[str, List[ComplexEvent]]],
+    ) -> None:
+        """The per-batch step: ingress on the router, then ship the
+        batch's complete windows (one ``winbatch`` per shard), drain
+        results, check health and overload, and release what has merged.
+        A replay (``out`` is ``None``) skips the overload detector."""
         if batch:
-            self._ingest_batch(batch, live=True)
-        self._release(out)
+            self.start()
+            for state in self._chain_states:
+                chain = state.chain
+                # synchronous drain, like QueryChain.run_batch: the
+                # staging depth of the batch is not backlog
+                assign_stage = chain.window_assign
+                depth_before = assign_stage.max_queue_depth
+                ingested = chain.ingest_batch(batch)
+                queued = chain.queue.consume_all()
+                assign_stage.max_queue_depth = max(depth_before, 1 if queued else 0)
+                items = ingested.items
+                closed = [w for i in ingested.closes for w in items[i].closed_windows]
+                self._dispatch(state, closed)
+            self.coordinator.events_ingested += len(batch.events)
+            self._events_fed += len(batch.events)
+            if self._in_flight:
+                # nothing owed, nothing to poll for (heartbeats can wait:
+                # a shard is only suspected while it owes results)
+                self._drain_results()
+            if self.fault_tolerant:
+                self._check_health()
+            self._check_overload(live=out is not None)
+        if self.started:
+            self._release(out)
 
-    def finish(self) -> Dict[str, List[ComplexEvent]]:
-        """End a live feed session: flush buffers, windows and shards.
-
-        The sharded twin of :meth:`repro.pipeline.Pipeline.finish`:
-        processes the pending micro-batch, completes still-open windows
-        as truncated windows on the shards, waits for every shard to
-        catch up (sync barrier) and releases the remaining detections
-        through the emit stage.  The cluster stays usable: later feeds
-        simply open new windows.
-        """
+    def _flush_windows(
+        self, now: float, out: Optional[Dict[str, List[ComplexEvent]]]
+    ) -> None:
+        """End of stream: ship still-open windows (truncated), wait for
+        every shard to catch up and release the remaining detections."""
         if not self.started:
-            return {state.name: [] for state in self._chain_states}
-        out = self.flush_pending()
+            return  # nothing was ever fed
         for state in self._chain_states:
-            per_shard: Dict[int, List[tuple]] = {}
-            for window in state.chain.window_assign.flush():
-                shard, entry = self._stamp(state, window)
-                per_shard.setdefault(shard, []).append(entry)
-            self._ship(state, per_shard)
+            self._dispatch(state, state.chain.window_assign.flush())
         self._sync()
         self._release(out)
-        return out
 
-    def _release(self, out: Dict[str, List[ComplexEvent]]) -> None:
+    def _ticks_observable(self) -> bool:
+        """No tick duty on the router (no batch cut, no ``on_tick``): the
+        coordinator checks overload per shipped batch instead."""
+        return False
+
+    def _release(self, out: Optional[Dict[str, List[ComplexEvent]]]) -> None:
         """Dispatch everything the merge buffer has released, in order."""
         for state in self._chain_states:
             ready = self.coordinator.take_ordered(state.name)
             if ready:
                 state.chain.emit.dispatch(ready)
-                out[state.name].extend(ready)
+                if out is not None:
+                    out[state.name].extend(ready)
 
     def backpressure(self) -> Dict[str, Dict[str, object]]:
         """Per-chain queue/rejection counters plus cluster backpressure."""
-        report: Dict[str, Dict[str, object]] = {}
-        for state in self._chain_states or [
-            _ChainState(chain) for chain in self.pipeline.chains
-        ]:
-            entry = dict(state.chain.backpressure())
-            entry["cluster_pending_events"] = state.pending_events
-            report[state.name] = entry
+        report = super().backpressure()
+        pending = {state.name: state.pending_events for state in self._chain_states}
+        for name, entry in report.items():
+            entry["cluster_pending_events"] = pending.get(name, 0)
         return report
+
+    def _dispatch(self, state: _ChainState, windows: List) -> None:
+        """Stamp and route ``windows``; ship each shard its share."""
+        per_shard: Dict[int, List[tuple]] = {}
+        for window in windows:
+            shard, entry = self._stamp(state, window)
+            per_shard.setdefault(shard, []).append(entry)
+        self._ship(state, per_shard)
 
     def _stamp(self, state: _ChainState, window) -> Tuple[int, tuple]:
         """Route + stamp one window; returns its shard and link entry."""
@@ -719,21 +614,34 @@ class ShardedPipeline:
         for sender in self._senders:
             sender.send(("sync", token))
             sender.flush()
-        deadline = time.monotonic() + self.sync_timeout
         expected = {(shard, token) for shard in range(self.shards)}
-        while not expected.issubset(self._sync_seen):
+        self._wait(
+            lambda: expected.issubset(self._sync_seen),
+            lambda: (
+                f"cluster sync timed out after {self.sync_timeout:.0f}s "
+                f"(missing shards: "
+                f"{sorted(s for s, t in expected - self._sync_seen)})"
+            ),
+            resync_token=token,
+        )
+
+    def _wait(
+        self,
+        done: Callable[[], bool],
+        timed_out: Callable[[], str],
+        resync_token: Optional[int] = None,
+    ) -> None:
+        """Drain results until ``done()``; recover or fail dead workers."""
+        deadline = time.monotonic() + self.sync_timeout
+        while not done():
             self._drain_results(block_timeout=0.05)
             if time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"cluster sync timed out after {self.sync_timeout:.0f}s "
-                    f"(missing shards: "
-                    f"{sorted(s for s, t in expected - self._sync_seen)})"
-                )
+                raise RuntimeError(timed_out())
             if self.fault_tolerant:
-                # a shard that died holding this token's sync message
-                # must get the token again after recovery, or the
-                # barrier would wait out the full timeout for nothing
-                self._check_health(resync_token=token)
+                # a shard that died holding a sync token must get the
+                # token again after recovery, or the barrier would wait
+                # out the full timeout for nothing
+                self._check_health(resync_token=resync_token)
             else:
                 self._raise_on_dead_workers()
 
@@ -887,35 +795,15 @@ class ShardedPipeline:
         retiring = self.router.remove_shard()
         # drain: the retiring shard still owes results for windows
         # routed before the membership change
-        deadline = time.monotonic() + self.sync_timeout
-        while self._shard_pending(retiring) > 0:
-            self._drain_results(block_timeout=0.05)
-            if time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"scale_down timed out draining shard {retiring}"
-                )
-            if self.fault_tolerant:
-                self._check_health()
-            else:
-                self._raise_on_dead_workers()
+        self._wait(
+            lambda: self._shard_pending(retiring) == 0,
+            lambda: f"scale_down timed out draining shard {retiring}",
+        )
         # final metrics sync so the retiring shard's counters fold into
         # the coordinator's retirement accumulator, keeping cluster
         # totals monotonic across the membership change
         self._sync()
-        sender = self._senders[retiring]
-        try:
-            sender.send(("stop",))
-            sender.flush()
-        except (OSError, ValueError):  # pragma: no cover - queue gone
-            pass
-        process = self._workers[retiring]
-        process.join(timeout=10.0)
-        if process.is_alive():  # pragma: no cover - stop message lost
-            process.terminate()
-            process.join(timeout=1.0)
-        for q in (self._in_queues[retiring], self._out_queues[retiring]):
-            q.cancel_join_thread()
-            q.close()
+        self._stop_workers([retiring], timeout=10.0)
         self._workers.pop()
         self._senders.pop()
         self._in_queues.pop()
@@ -987,38 +875,28 @@ class ShardedPipeline:
         """Activate shedding with ``command`` on every shard at once.
 
         Applies the same command to the coordinator-side shedder (so a
-        later ``retrain()`` replays consistent state) and broadcasts it
-        to all workers.  ``chain`` limits the change to one query.
+        later fork or ``retrain()`` replays consistent state) and
+        broadcasts it to all workers.  ``chain`` limits the change to
+        one query.
         """
-        for state in self._iter_chain_states(chain):
-            shedder = state.chain.shedder
-            if shedder is None:
-                raise RuntimeError(
-                    f"chain {state.name!r} has no shedder to command; "
-                    "deploy() a shedding strategy first"
-                )
-            shedder.on_drop_command(command)
-            shedder.activate()
-            self._broadcast(("cmd", state.name, command, True))
-            if self.coordinator is not None:
-                self.coordinator.shedding[state.name] = True
+        super().broadcast_shedding(command, chain)
+        self._command_shards(chain, command, True)
 
     def stop_shedding(self, chain: Optional[str] = None) -> None:
         """Deactivate shedding on every shard at once."""
-        for state in self._iter_chain_states(chain):
-            shedder = state.chain.shedder
-            if shedder is not None:
-                shedder.deactivate()
-            self._broadcast(("cmd", state.name, None, False))
-            if self.coordinator is not None:
-                self.coordinator.shedding[state.name] = False
+        super().stop_shedding(chain)
+        self._command_shards(chain, None, False)
 
-    def _iter_chain_states(self, chain: Optional[str]):
-        if not self.started:
-            self.start()
-        if chain is None:
-            return list(self._chain_states)
-        return [self._chain_state(chain)]
+    def _command_shards(
+        self, chain: Optional[str], command: Optional[DropCommand], active: bool
+    ) -> None:
+        """Broadcast a shedding state change to every shard, all chains
+        or ``chain``, and record it coordinator-side."""
+        self.start()
+        states = self._chain_states if chain is None else [self._chain_state(chain)]
+        for state in states:
+            self._broadcast(("cmd", state.name, command, active))
+            self.coordinator.shedding[state.name] = active
 
     def _broadcast(self, message) -> None:
         if message[0] == "cmd":
@@ -1048,11 +926,12 @@ class ShardedPipeline:
         timing-dependent set of windows -- the tests/obs two-shard
         determinism flake (missing tail detections).  The autoscaler
         stays active in both modes: membership changes are
-        detection-invariant.  Live feeds (:meth:`feed`) keep the full
+        detection-invariant.  Live feeds (:meth:`feed`,
+        :meth:`feed_many`, :meth:`flush_pending`) keep the full
         wall-clock semantics -- backpressure there is physical.
         """
         now = time.monotonic()
-        interval = self.pipeline.config.check_interval
+        interval = self.config.check_interval
         if now - self._last_check < interval:
             return
         self._last_check = now
@@ -1068,15 +947,13 @@ class ShardedPipeline:
                 continue
             command = detector.check(now, state.pending_events)
             if command is not None:
-                self._broadcast(("cmd", state.name, command, True))
-                self.coordinator.shedding[state.name] = True
+                self._command_shards(state.name, command, True)
                 self._detector_shedding[state.name] = True
             elif self._detector_shedding[state.name] and not detector.shedding:
                 # only undo detector-driven activations: shedding that
                 # was configured statically (inherited at fork or via
                 # broadcast_shedding) is not the detector's to cancel
-                self._broadcast(("cmd", state.name, None, False))
-                self.coordinator.shedding[state.name] = False
+                self._command_shards(state.name, None, False)
                 self._detector_shedding[state.name] = False
 
     # ------------------------------------------------------------------
@@ -1091,7 +968,7 @@ class ShardedPipeline:
         (:meth:`~repro.core.shedder.ESpiceShedder.rebind_model`), so
         shards keep serving O(1) decisions throughout the swap.
         """
-        self.pipeline.retrain(stream)
+        super().retrain(stream)
         if self.started:
             for state in self._chain_states:
                 model = state.chain.model
@@ -1121,10 +998,9 @@ class ShardedPipeline:
         whole deployment.
         """
         self._require_not_started("enable_observability")
-        obs = self.pipeline.enable_observability(obs, **kwargs)
-        self.observability = obs
-        if self._obs_collector is None:
-            self._obs_collector = self._register_cluster_collector(obs.registry)
+        obs = super().enable_observability(obs, **kwargs)
+        if self._cluster_collector is None:
+            self._cluster_collector = self._register_cluster_collector(obs.registry)
         return obs
 
     def _register_cluster_collector(self, registry):
@@ -1277,7 +1153,7 @@ class ShardedPipeline:
 
         return registry.register_collector(collect)
 
-    def metrics(self) -> Dict[str, Dict[str, object]]:
+    def metrics(self) -> Dict[str, Dict[str, Dict[str, object]]]:
         """Unified per-query metrics: router stages + shard totals.
 
         The ``router`` half reports live per-stage metrics for the
@@ -1290,8 +1166,8 @@ class ShardedPipeline:
         totals = (
             self.coordinator.chain_totals() if self.coordinator is not None else {}
         )
-        report: Dict[str, Dict[str, object]] = {}
-        for chain in self.pipeline.chains:
+        report: Dict[str, Dict[str, Dict[str, object]]] = {}
+        for chain in self.chains:
             name = chain.query.name
             report[name] = {
                 "router": {

@@ -26,7 +26,7 @@ across sizes {1, 2, 7, 64, 1000}).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cep.events import ComplexEvent, Event
 from repro.cep.operator.operator import Drops
@@ -118,25 +118,6 @@ class MicroBatcher:
         self.pending = EventBatch(batch.events[count:], batch.nows[count:])
         del batch.events[count:], batch.nows[count:]
         return batch
-
-
-def iter_batches(
-    stream: Iterable[Event], batch_size: int, linger: float = 0.0
-) -> Iterator[EventBatch]:
-    """Chop ``stream`` into :class:`EventBatch` objects (replay clocks).
-
-    Each event's clock is its own timestamp -- the convention of
-    ``Pipeline.run``.  Used by batch replays that need no tick
-    interleaving (e.g. the sharded router).
-    """
-    batcher = MicroBatcher(batch_size, linger)
-    for event in stream:
-        batch = batcher.add(event, event.timestamp)
-        if batch is not None:
-            yield batch
-    tail = batcher.take()
-    if tail is not None:
-        yield tail
 
 
 class StageBatch:

@@ -22,7 +22,7 @@ driver's compatibility path).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cep.patterns.query import Query
 from repro.core.model import UtilityModel
@@ -31,9 +31,6 @@ from repro.pipeline.pipeline import Pipeline, PipelineConfig, QueryChain
 from repro.pipeline.stages import EventSink, Stage
 from repro.shedding.base import LoadShedder
 from repro.shedding.registry import available_shedders
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports us)
-    from repro.cluster import ShardedPipeline
 
 #: A stage instance (single-query pipelines) or a zero-argument factory
 #: producing one fresh stage per chain (required for fan-out pipelines,
@@ -219,11 +216,13 @@ class PipelineBuilder:
         """Execute across ``shards`` real worker processes.
 
         ``build()`` then returns a
-        :class:`repro.cluster.ShardedPipeline`: complete windows are
+        :class:`repro.cluster.ShardedPipeline` -- still a ``Pipeline``,
+        fed and run through the same methods: complete windows are
         routed to forked shard workers (``router`` names a
         :mod:`repro.cluster.routing` policy or is a ``Router``
         instance), events travel in batches of ``batch_size`` messages
-        (shipped early once the oldest waits ``linger`` seconds), and
+        (shipped early once the oldest waits ``linger`` wall-clock
+        seconds -- not the event-time ``linger`` of :meth:`batch`), and
         the coordinator merges detections back into sequential order.
         Train and deploy before iterating -- workers inherit the
         deployed state at fork.
@@ -306,12 +305,13 @@ class PipelineBuilder:
                 built.append(stage())
         return built
 
-    def build(self) -> Union[Pipeline, "ShardedPipeline"]:
+    def build(self) -> Pipeline:
         """Validate and assemble the pipeline.
 
-        Returns a :class:`Pipeline`, or a
-        :class:`repro.cluster.ShardedPipeline` wrapping one when
-        :meth:`distributed` was called.
+        Returns a :class:`Pipeline`; after :meth:`distributed` it is a
+        :class:`repro.cluster.ShardedPipeline` -- a ``Pipeline`` whose
+        windows execute on forked shard workers, driven through the
+        same methods.
         """
         if not self._queries:
             raise ValueError("a pipeline needs at least one query")
@@ -344,13 +344,7 @@ class PipelineBuilder:
         if self._distributed is not None:
             from repro.cluster import ShardedPipeline
 
-            sharded = ShardedPipeline(pipeline, **self._distributed)
-            if self._observability is not None:
-                sharded.enable_observability(
-                    self._observability["obs"],
-                    **{k: v for k, v in self._observability.items() if k != "obs"},
-                )
-            return sharded
+            pipeline = ShardedPipeline(pipeline, **self._distributed)
         if self._observability is not None:
             pipeline.enable_observability(
                 self._observability["obs"],

@@ -56,7 +56,7 @@ from repro.pipeline.stages import (
     Stage,
     WindowAssignStage,
 )
-from repro.shedding.base import LoadShedder
+from repro.shedding.base import DropCommand, LoadShedder
 from repro.shedding.registry import create_shedder, shedder_requirements
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (builder imports us)
@@ -93,7 +93,8 @@ class PipelineConfig:
     #: Micro-batch size of the event path (1 = one event per batch).
     batch_size: int = 1
     #: Event-time seconds the oldest buffered event may wait before the
-    #: micro-batch ships early (0 = flush purely by size).
+    #: micro-batch ships early (0 = flush purely by size).  A cluster's
+    #: own ``linger`` is a different, wall-clock bound on its IPC links.
     linger: float = 0.0
 
     def __post_init__(self) -> None:
@@ -629,6 +630,33 @@ class Pipeline:
             chain.retrain(stream)
         return self
 
+    def start(self) -> "Pipeline":
+        """Bring up the executor: a no-op in-process (a cluster forks)."""
+        return self
+
+    def broadcast_shedding(
+        self, command: DropCommand, chain: Optional[str] = None
+    ) -> None:
+        """Activate shedding with ``command`` on every chain (or ``chain``)."""
+        for target in self._chains(chain):
+            shedder = target.shedder
+            if shedder is None:
+                raise RuntimeError(
+                    f"chain {target.query.name!r} has no shedder to command; "
+                    "deploy() a shedding strategy first"
+                )
+            shedder.on_drop_command(command)
+            shedder.activate()
+
+    def stop_shedding(self, chain: Optional[str] = None) -> None:
+        """Deactivate shedding on every chain (or on ``chain``)."""
+        for target in self._chains(chain):
+            if target.shedder is not None:
+                target.shedder.deactivate()
+
+    def _chains(self, name: Optional[str]) -> List[QueryChain]:
+        return self.chains if name is None else [self.chain(name)]
+
     # ------------------------------------------------------------------
     # live ingestion (push-based, event time)
     # ------------------------------------------------------------------
@@ -650,9 +678,7 @@ class Pipeline:
         buffering calls).  :meth:`flush_pending` forces the buffer
         through.  At the default batch size of one every call flushes.
         """
-        out: Dict[str, List[ComplexEvent]] = {
-            chain.query.name: [] for chain in self.chains
-        }
+        out = self._no_detections()
         at = event.timestamp if now is None else now
         self._feed_run([event], [at], self._feed_batcher, out)
         return out
@@ -671,9 +697,7 @@ class Pipeline:
         call raised (a stage failed on one batch) resumes by calling
         again with the same iterator and loses only that batch.
         """
-        out: Dict[str, List[ComplexEvent]] = {
-            chain.query.name: [] for chain in self.chains
-        }
+        out = self._no_detections()
         self._feed_batches(events, now, self._feed_batcher, out)
         return out
 
@@ -782,10 +806,7 @@ class Pipeline:
         pipeline stays usable: later feeds simply open new windows.
         """
         out = self.flush_pending()
-        for chain in self.chains:
-            flushed = chain.flush(now=self._last_fed)
-            if flushed:
-                out[chain.query.name].extend(flushed)
+        self._flush_windows(self._last_fed, out)
         return out
 
     def flush_pending(self) -> Dict[str, List[ComplexEvent]]:
@@ -795,16 +816,19 @@ class Pipeline:
         size one.  Call at the end of a feed session -- or whenever a
         downstream consumer must observe everything fed so far.
         """
-        out = {chain.query.name: [] for chain in self.chains}
+        out = self._no_detections()
         self._collect_batch(self._feed_batcher.take(), out)
         return out
+
+    def _no_detections(self) -> Dict[str, List[ComplexEvent]]:
+        return {chain.query.name: [] for chain in self.chains}
 
     def _collect_batch(
         self,
         batch: Optional[EventBatch],
         out: Optional[Dict[str, List[ComplexEvent]]],
     ) -> None:
-        """Run one micro-batch through every chain.
+        """Run one micro-batch through every chain: the per-batch step.
 
         Detections are appended to ``out`` per query; a replay passes
         ``None`` (its emit stages retain them).
@@ -816,6 +840,16 @@ class Pipeline:
             if out is not None and found:
                 out[chain.query.name].extend(found)
         self._events_fed += len(batch.events)
+
+    def _flush_windows(
+        self, now: float, out: Optional[Dict[str, List[ComplexEvent]]]
+    ) -> None:
+        """End of stream (:meth:`run`, :meth:`finish`): complete every
+        chain's still-open windows."""
+        for chain in self.chains:
+            flushed = chain.flush(now=now)
+            if out is not None and flushed:
+                out[chain.query.name].extend(flushed)
 
     def _advance_ticks(self, now: float) -> None:
         if self._next_tick is None:
@@ -866,10 +900,11 @@ class Pipeline:
             self._collect_batch(batcher.take(), None)
             if not self._ticks_observable():
                 self._next_tick = None  # re-anchor: no tick was observable
-            matches = {}
-            for chain in self.chains:
-                chain.flush(now=last)
-                matches[chain.query.name] = chain.emit.drain_collected()
+            self._flush_windows(last, None)
+            matches = {
+                chain.query.name: chain.emit.drain_collected()
+                for chain in self.chains
+            }
         finally:
             self._last_fed = last_fed
             for chain in self.chains:

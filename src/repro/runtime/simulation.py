@@ -446,9 +446,6 @@ def simulate_sharded(
     pipeline,
     stream: EventStream,
     shards: int = 2,
-    router="round-robin",
-    batch_size: int = 32,
-    linger: float = 0.0,
     drop_command=None,
     **cluster_options,
 ):
@@ -457,65 +454,44 @@ def simulate_sharded(
 
     The scale-out counterpart of :func:`simulate_pipeline`: the same
     built (and usually trained + deployed) pipeline is executed by a
-    :class:`repro.cluster.ShardedPipeline` across ``shards`` real
-    worker processes -- the router ships complete windows (the paper's
-    unit of distribution) over batched IPC queues, shards shed + match
-    them, and the coordinator merges detections back into sequential
-    emission order.  Because shedding state is coordinator-owned and
-    windows are decided whole, the per-query detections (contents and
-    order) are identical for every shard count, and identical to a
-    sequential :func:`simulate_pipeline` run of the same deployment --
-    the paper's parallelism-degree-independence claim, tested across
-    OS processes.
+    :class:`repro.cluster.ShardedPipeline` -- a ``Pipeline`` whose
+    windows run on ``shards`` real worker processes -- the router ships
+    complete windows (the paper's unit of distribution) over batched
+    IPC queues, shards shed + match them, and the coordinator merges
+    detections back into sequential emission order.  Because shedding
+    state is coordinator-owned and windows are decided whole, the
+    per-query detections (contents and order) are identical for every
+    shard count, and identical to a sequential
+    :func:`simulate_pipeline` run of the same deployment -- the paper's
+    parallelism-degree-independence claim, tested across OS processes.
 
     Parameters
     ----------
     pipeline:
-        A built :class:`repro.pipeline.Pipeline` (it is wrapped in a
-        fresh ``ShardedPipeline`` and the workers are shut down before
-        returning), or an already-started
-        :class:`repro.cluster.ShardedPipeline` (then left running for
-        the caller to reuse).
+        A built :class:`repro.pipeline.Pipeline`; its chains are run by
+        a fresh ``ShardedPipeline`` whose workers are shut down before
+        returning.  (A ``ShardedPipeline`` you keep running is replayed
+        with its own ``run()``.)
     drop_command:
         Optional static :class:`repro.shedding.base.DropCommand`
-        applied to every chain's shedder -- and activated -- *before*
-        the workers fork, giving a deterministic "under shedding" run
+        applied to every chain's shedder -- and activated -- through
+        :meth:`~repro.pipeline.Pipeline.broadcast_shedding` *before* the
+        workers fork, giving a deterministic "under shedding" run
         (dynamic detector-driven shedding reacts to wall-clock
         backpressure and is therefore not replayable).
 
     Returns a :class:`repro.cluster.ShardedResult` (per-query ordered
     detections, throughput, and the cluster snapshot).  Extra keyword
-    arguments (``fault_tolerant``, ``checkpoint_dir``, ``autoscaler``,
-    ...) forward to the :class:`~repro.cluster.ShardedPipeline`
-    constructor.
+    arguments (``router``, ``batch_size``, ``linger``,
+    ``fault_tolerant``, ...) forward to the
+    :class:`~repro.cluster.ShardedPipeline` constructor, with its
+    defaults.
     """
     from repro.cluster import ShardedPipeline
 
-    if isinstance(pipeline, ShardedPipeline):
-        if drop_command is not None:
-            raise ValueError(
-                "pass drop_command only with a plain Pipeline: a started "
-                "ShardedPipeline takes commands via broadcast_shedding()"
-            )
-        return pipeline.run(stream)
-
     if drop_command is not None:
-        for chain in pipeline.chains:
-            if chain.shedder is None:
-                raise RuntimeError(
-                    f"chain {chain.query.name!r} has no shedder for the "
-                    "drop command; deploy() a shedding strategy first"
-                )
-            chain.shedder.on_drop_command(drop_command)
-            chain.shedder.activate()
-    sharded = ShardedPipeline(
-        pipeline,
-        shards=shards,
-        router=router,
-        batch_size=batch_size,
-        linger=linger,
-        **cluster_options,
-    )
+        pipeline.broadcast_shedding(drop_command)
+    sharded = ShardedPipeline(pipeline, shards=shards, **cluster_options)
     with sharded:
         return sharded.run(stream)
 

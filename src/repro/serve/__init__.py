@@ -30,10 +30,10 @@ refuses non-essential ops and raises coordinated shedding as pressure
 builds; :class:`~repro.serve.admission.DeadlineAdmission` rejects
 requests whose latency budget the measured queue wait would already
 blow; and :mod:`repro.serve.resilience` gives clients seeded-jitter
-exponential backoff plus a circuit breaker.  The server drives either
-a :class:`~repro.pipeline.Pipeline` or a fault-tolerant
-:class:`~repro.cluster.sharded.ShardedPipeline` through the same
-consumer loop.
+exponential backoff plus a circuit breaker.  The server drives a
+:class:`~repro.pipeline.Pipeline`; a fault-tolerant
+:class:`~repro.cluster.sharded.ShardedPipeline` is one, so a cluster
+is served through the same consumer loop and calls.
 
 The ``repro-serve`` console script (:mod:`repro.serve.cli`) serves a
 trained pipeline directly; :func:`repro.runtime.serving.serve_replay`

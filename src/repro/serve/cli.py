@@ -12,9 +12,10 @@ windows, emit final detections) and prints the final metrics as JSON.
     repro-serve --port 7807 --shedder espice --f 0.8 \\
         --rate-limit 5000 --auth-secret s3cret --max-pending 65536
 
-``--shards N`` serves a fault-tolerant ``ShardedPipeline`` instead of
-the in-process pipeline: N forked worker processes behind the same
-front door, with worker respawn and exactly-once replay on failure.
+``--shards N`` serves a fault-tolerant ``ShardedPipeline`` -- a
+``Pipeline`` whose windows run on N forked worker processes -- behind
+the same front door, with worker respawn and exactly-once replay on
+failure.
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.cep.events import ComplexEvent
-from repro.cluster.sharded import ShardedPipeline
 from repro.core.partitions import plan_partitions
 from repro.obs.exposition import CONTENT_TYPE, render_prometheus, wants_prometheus
 from repro.obs.snapshot import shedding_snapshot
@@ -110,11 +109,11 @@ class ServeConfig:
 class PipelineServer:
     """Serve a built :class:`~repro.pipeline.Pipeline` over TCP/HTTP.
 
-    Also accepts a :class:`~repro.cluster.sharded.ShardedPipeline`:
-    the cluster exposes the same ``feed_many``/``finish``/``backpressure``
-    surface, so the front door drives a multi-process deployment
-    through the identical consumer loop (detections keep sequential
-    order via the coordinator's dispatch-index merge).
+    A :class:`~repro.cluster.sharded.ShardedPipeline` is a
+    ``Pipeline`` too: the front door drives a multi-process deployment
+    through the identical consumer loop and calls (``start`` forks its
+    workers; detections keep sequential order via the coordinator's
+    dispatch-index merge).
     """
 
     def __init__(
@@ -125,18 +124,9 @@ class PipelineServer:
         observability=None,
         health_policy: Optional[HealthPolicy] = None,
     ) -> None:
-        if not isinstance(pipeline, (Pipeline, ShardedPipeline)):
+        if not isinstance(pipeline, Pipeline):
             raise TypeError(
-                "PipelineServer drives a built Pipeline or a "
-                f"ShardedPipeline, not {type(pipeline).__name__}"
-            )
-        # a sharded pipeline is fed through its live serve surface
-        # (feed_many/finish); its workers fork on server start()
-        self._sharded = isinstance(pipeline, ShardedPipeline)
-        if self._sharded and observability is not None and pipeline.started:
-            raise RuntimeError(
-                "pass the ShardedPipeline unstarted when serving with "
-                "observability: workers inherit instrumentation at fork"
+                f"PipelineServer drives a built Pipeline, not {type(pipeline).__name__}"
             )
         self.pipeline = pipeline
         self.config = config if config is not None else ServeConfig()
@@ -205,11 +195,10 @@ class PipelineServer:
         """Bind the listener and start the consumer (idempotent)."""
         if self._state in ("serving", "draining"):
             return self
-        if self._sharded:
-            # fork the shard workers before the listener binds: the
-            # first admitted event must find the cluster live, and the
-            # fork must happen before the loop owns any sockets
-            self.pipeline.start()
+        # a cluster forks its shard workers here, before the listener
+        # binds: the first admitted event must find the cluster live,
+        # and the fork must happen before the loop owns any sockets
+        self.pipeline.start()
         # bounded in *batches* by the same knob that bounds pending
         # *events*: every queued entry carries >= 1 event and _admit
         # refuses batches beyond max_pending_events, so this capacity
@@ -437,23 +426,13 @@ class PipelineServer:
                 partition_size=plan.partition_size,
             )
             name = chain.query.name
-            if self._sharded:
-                self.pipeline.broadcast_shedding(command, chain=name)
-            else:
-                shedder.on_drop_command(command)
-                shedder.activate()
+            self.pipeline.broadcast_shedding(command, chain=name)
             self._health_shedding.add(name)
 
     def _lower_shedding(self) -> None:
         """Leaving OVERLOADED: undo exactly the shedding we activated."""
-        for chain in self.pipeline.chains:
-            name = chain.query.name
-            if name not in self._health_shedding:
-                continue
-            if self._sharded:
-                self.pipeline.stop_shedding(chain=name)
-            elif chain.shedder is not None:
-                chain.shedder.deactivate()
+        for name in sorted(self._health_shedding):
+            self.pipeline.stop_shedding(chain=name)
         self._health_shedding.clear()
 
     # ------------------------------------------------------------------

@@ -114,6 +114,34 @@ def test_changed_only_outside_git_falls_back(scratch_repo, capsys):
     assert "merge-base" in err
 
 
+def test_changed_only_lints_just_the_modified_file(scratch_repo, capsys):
+    """In a git checkout only files changed vs the merge-base are linted."""
+    import subprocess
+
+    serve = scratch_repo / "src" / "repro" / "serve"
+    (serve / "committed.py").write_text(BAD_SERVE)
+    (serve / "modified.py").write_text(CLEAN_SERVE)
+
+    def git(*args):
+        identity = ["-c", "user.name=t", "-c", "user.email=t@example.invalid"]
+        subprocess.run(
+            ["git", "-C", str(scratch_repo), *identity, *args],
+            check=True,
+            capture_output=True,
+        )
+
+    git("init", "-q", "-b", "main")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    (serve / "modified.py").write_text(BAD_SERVE)
+    argv = ["--root", str(scratch_repo), "--changed-only", "--base", "main"]
+    code = run([*argv, "--format", "json"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    paths = {finding["path"] for finding in payload["findings"]}
+    assert paths == {"src/repro/serve/modified.py"}
+
+
 def test_module_entry_point_runs():
     """`python -m repro.analysis` wires up to the same CLI."""
     import subprocess

@@ -3,15 +3,16 @@
 Quick-mode coverage of the whole `repro.cluster` lifecycle -- builder
 wiring, run/merge, snapshot, hot model swap, coordinated shedding,
 failure handling -- kept small enough for the CI cluster smoke job
-(which runs exactly this file on every Python version under a hard
-timeout, so a multiprocessing deadlock fails fast instead of hanging).
+(which runs this file and ``test_runtime_contract.py``, the runtime
+surface a cluster shares with an in-process pipeline, on every Python
+version under a hard timeout, so a multiprocessing deadlock fails fast
+instead of hanging).
 """
 
 import pickle
 
 import pytest
 
-from repro.cluster import ShardedPipeline, ShardedResult
 from repro.core.partitions import plan_partitions
 from repro.datasets import SoccerStreamConfig, generate_soccer_stream, split_stream
 from repro.pipeline import Pipeline
@@ -56,12 +57,6 @@ def sharded_builder(query, **distributed):
 
 
 class TestBuilderWiring:
-    def test_distributed_build_returns_sharded_pipeline(self, query):
-        sharded = sharded_builder(query).build()
-        assert isinstance(sharded, ShardedPipeline)
-        assert sharded.shards == SHARDS
-        assert not sharded.started
-
     def test_distributed_rejects_adaptive(self, query):
         with pytest.raises(ValueError, match="adaptive"):
             (
@@ -118,16 +113,6 @@ class TestBuilderWiring:
 
 
 class TestRunAndMerge:
-    def test_unshedded_sharded_equals_sequential(self, soccer, query):
-        _train, live = soccer
-        sequential = Pipeline.builder().query(query).build().run(live)
-        with sharded_builder(query).build() as sharded:
-            result = sharded.run(live)
-        assert isinstance(result, ShardedResult)
-        assert keys(result.complex_events) == keys(sequential.complex_events)
-        assert result.events_fed == len(live)
-        assert result.events_per_second > 0
-
     def test_repeated_runs_reuse_workers(self, soccer, query):
         _train, live = soccer
         head = live.slice(0, len(live) // 2)
@@ -138,19 +123,22 @@ class TestRunAndMerge:
         total = sharded.snapshot()
         assert total.events_ingested == 2 * len(head)
 
-    def test_sinks_fire_in_merge_order(self, soccer, query):
+    def test_live_batch_pending_at_run_joins_the_replay(self, soccer, query):
+        """Events fed live and still buffered are processed before a run.
+
+        ``feed_many`` of 10 events leaves a part-filled router batch;
+        ``run`` must flush it first, exactly as the sequential
+        ``Pipeline.run`` does -- ingesting it after the replay would
+        reorder the stream and lose detections.
+        """
         _train, live = soccer
-        seen = []
-        sharded = (
-            Pipeline.builder()
-            .query(query)
-            .sink(seen.append)
-            .distributed(shards=SHARDS)
-            .build()
-        )
-        with sharded:
-            result = sharded.run(live)
-        assert keys(seen) == keys(result.complex_events)
+        events = list(live)
+        sequential = Pipeline.builder().query(query).build().run(live)
+        with sharded_builder(query).build() as sharded:
+            got = sharded.feed_many(events[:10])[query.name]
+            got += sharded.run(events[10:]).complex_events
+            got += sharded.finish()[query.name]
+        assert keys(got) == keys(sequential.complex_events)
 
     def test_alternative_routers_do_not_change_detections(self, soccer, query):
         _train, live = soccer

@@ -19,7 +19,6 @@ from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows, PredicateWindows
 from repro.core.kernel import HAVE_NUMPY
 from repro.pipeline import EventBatch, MicroBatcher, Pipeline, SamplingStage
-from repro.pipeline.batching import iter_batches
 from repro.shedding.base import DropCommand
 
 #: The satellite-mandated spread: degenerate, tiny, odd, typical, huge.
@@ -91,16 +90,6 @@ class TestMicroBatcher:
             MicroBatcher(0)
         with pytest.raises(ValueError):
             MicroBatcher(1, linger=-0.1)
-
-    def test_iter_batches_covers_stream_in_order(self):
-        stream = synth_stream(["A", "B"] * 11)
-        batches = list(iter_batches(stream, 5))
-        assert [len(b) for b in batches] == [5, 5, 5, 5, 2]
-        flat = [e for b in batches for e in b.events]
-        assert [e.seq for e in flat] == [e.seq for e in stream]
-        assert all(
-            b.nows == [e.timestamp for e in b.events] for b in batches
-        )
 
     def test_event_batch_is_sized_container(self):
         batch = EventBatch()
