@@ -121,13 +121,6 @@ class AnyStep(Step):
     def accepts(self, event: Event) -> bool:
         return any(s.matches(event) for s in self.specs)
 
-    def first_matching_spec(self, event: Event) -> Optional[int]:
-        """Index of the first spec matching ``event`` or ``None``."""
-        for index, s in enumerate(self.specs):
-            if s.matches(event):
-                return index
-        return None
-
     def __repr__(self) -> str:
         return f"Any({self.n} of {len(self.specs)} specs)"
 

@@ -13,6 +13,15 @@ Every selection policy walks that tuple; *last* walks its mirror over
 the reversed window.  Scans return view indices (indices into the
 events passed in), mapped to positions only when a match is reported.
 
+The specs are compiled too, so a scan tests an event's type with one
+lookup and calls no spec method.  A single or kleene step's scan tests
+its spec's ``(types, predicate)`` inline.  Every positive step,
+negation guard and kleene "following" step also compiles to a table
+``type -> ((spec index, predicate or None), ...)`` in spec order, with
+each wildcard (``types=None``) spec merged into every entry and into
+the default entry of the types no spec names: an event of such a type
+reaches no predicate unless a wildcard asks for it.
+
 Semantics (the executable spec ``tests/cep/matcher_spec.py`` pins them):
 
 - **Runs.**  A step's run starts at an event the step accepts.  A
@@ -60,7 +69,7 @@ Semantics (the executable spec ``tests/cep/matcher_spec.py`` pins them):
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cep.events import Event
 from repro.cep.patterns.ast import (
@@ -79,11 +88,20 @@ from repro.cep.patterns.policies import ConsumptionPolicy, SelectionPolicy
 # One binding of the pattern: (window position, event) in position order.
 Match = List[Tuple[int, Event]]
 
-# (events, start, guard, step, following, consumed) -> the run's indices or None
+Predicate = Callable[[Event], bool]
+
+# One type's specs, in spec order: ((spec index, predicate or None), ...).
+Entries = Tuple[Tuple[int, Optional[Predicate]], ...]
+
+# Specs as one lookup: (type -> its entries, the entries of any other type).
+Table = Tuple[Dict[str, Entries], Entries]
+
+# (events, start, guard, consumed) -> the run's indices or None; the
+# step's compiled specs and counts are bound in.
 Scan = Callable[..., Optional[List[int]]]
 
-# One compiled step: (scan, negation guard, positive step, following step).
-Guarded = Tuple[Scan, Optional[EventSpec], Step, Optional[Step]]
+# One compiled step: (scan, negation guard, positive step, its table).
+Guarded = Tuple[Scan, Optional[Table], Step, Table]
 
 
 class PatternMatcher:
@@ -185,8 +203,8 @@ class PatternMatcher:
         while len(matches) < self.max_matches:
             bound: List[int] = []
             cursor = start
-            for scan, guard, step, following in steps:
-                taken = scan(events, cursor, guard, step, following, consumed)
+            for scan, guard, _step, _table in steps:
+                taken = scan(events, cursor, guard, consumed)
                 if taken is None:
                     break
                 bound += taken
@@ -221,17 +239,17 @@ class PatternMatcher:
             if self.consumption is ConsumptionPolicy.CONSUMED:
                 consumed.update(bound)
             return
-        scan, guard, step, following = self._steps[index]
+        scan, guard, _step, table = self._steps[index]
         for i in range(cursor, len(events)):
             if len(found) >= self.max_matches or (bound and bound[0] in consumed):
                 return  # capped, or a match consumed this prefix
-            if i in consumed:
+            if consumed and i in consumed:
                 continue
             event = events[i]
-            if guard is not None and guard.matches(event):
+            if guard is not None and _accepts(guard, event):
                 return
-            if step.accepts(event):
-                taken = scan(events, i, None, step, following, consumed)
+            if _accepts(table, event):
+                taken = scan(events, i, None, consumed)
                 if taken is not None:
                     self._each(
                         events, index + 1, taken[-1] + 1, bound + taken, consumed, found
@@ -243,16 +261,16 @@ class PatternMatcher:
         """Fold every instance of every step into one composite match."""
         chosen: Set[int] = set()
         cursor = 0
-        for _scan, guard, step, _following in self._steps:
+        for _scan, guard, step, table in self._steps:
             instances = [
-                i for i in range(cursor, len(events)) if step.accepts(events[i])
+                i for i in range(cursor, len(events)) if _accepts(table, events[i])
             ]
             if len(instances) < minimal_count(step):
                 return []
             first = instances[0]
             if guard is not None:
                 for i in range(cursor, first + 1):
-                    if guard.matches(events[i]):
+                    if _accepts(guard, events[i]):
                         return []
             chosen.update(instances)
             cursor = first + 1
@@ -263,91 +281,112 @@ class PatternMatcher:
 # compiling and scanning steps
 # ----------------------------------------------------------------------
 def _compile(steps: Sequence[Step]) -> Tuple[Guarded, ...]:
-    """Pair each positive step with its guard, its scan and its follower."""
-    positive: List[Tuple[Scan, Optional[EventSpec], Step]] = []
-    guard: Optional[EventSpec] = None
+    """Pair each positive step with its guard, its scan and its table."""
+    positive: List[Tuple[Optional[Table], Step, Table]] = []
+    guard: Optional[Table] = None
     for step in steps:
         if isinstance(step, NegationStep):
-            guard = step.spec
+            guard = _table((step.spec,))
             continue
-        if isinstance(step, SingleStep):
-            scan: Scan = _scan_single
-        elif isinstance(step, AnyStep):
-            shared = step.distinct_specs and _specs_meet(step.specs)
-            scan = partial(_scan_any, shared=True) if shared else _scan_any
-        elif isinstance(step, KleeneStep):
-            scan = _scan_kleene
-        else:
+        if not isinstance(step, (SingleStep, AnyStep, KleeneStep)):
             raise ValueError(f"unknown step type {step!r}")
-        positive.append((scan, guard, step))
+        specs = step.specs if isinstance(step, AnyStep) else (step.spec,)
+        positive.append((guard, step, _table(specs)))
         guard = None
-    following: List[Optional[Step]] = [step for _s, _g, step in positive[1:]]
+    following: List[Optional[Table]] = [table for _g, _s, table in positive[1:]]
     following.append(None)
-    return tuple(
-        (scan, guard, step, after)
-        for (scan, guard, step), after in zip(positive, following)
-    )
+    compiled: List[Guarded] = []
+    for (guard, step, table), after in zip(positive, following):
+        if isinstance(step, SingleStep):
+            scan: Scan = partial(_scan_single, step.spec.types, step.spec.predicate)
+        elif isinstance(step, AnyStep):
+            # whether one event may match two specs (then specs may trade)
+            lookups = (table[1], *table[0].values())
+            shared = step.distinct_specs and any(len(e) > 1 for e in lookups)
+            scan = partial(_scan_any, step, table, shared)
+        else:
+            scan = partial(_scan_kleene, step, after)
+        compiled.append((scan, guard, step, table))
+    return tuple(compiled)
 
 
-def _specs_meet(specs: Sequence[EventSpec]) -> bool:
-    """Whether one event may match two of ``specs``."""
-    types = [s.types for s in specs]
-    if None in types:  # a spec of any type meets every other spec
-        return len(types) > 1
-    return len(frozenset().union(*types)) < sum(len(t) for t in types)
+def _table(specs: Sequence[EventSpec]) -> Table:
+    """``specs`` as one lookup, wildcards merged (see the module docstring)."""
+
+    def entries(name: Optional[str]) -> Entries:
+        return tuple(
+            (k, s.predicate)
+            for k, s in enumerate(specs)
+            if s.types is None or name in s.types
+        )
+
+    named = frozenset().union(*(s.types for s in specs if s.types is not None))
+    return {name: entries(name) for name in named}, entries(None)
+
+
+def _accepts(table: Table, event: Event) -> bool:
+    """Whether a spec of ``table`` matches ``event``."""
+    by_type, default = table
+    for _k, predicate in by_type.get(event.event_type, default):
+        if predicate is None or predicate(event):
+            return True
+    return False
 
 
 def _scan_single(
+    types: Optional[FrozenSet[str]],
+    predicate: Optional[Predicate],
     events: Sequence[Event],
     start: int,
-    guard: Optional[EventSpec],
-    step: SingleStep,
-    following: Optional[Step],
+    guard: Optional[Table],
     consumed: Set[int],
 ) -> Optional[List[int]]:
-    matches = step.spec.matches
     for i in range(start, len(events)):
-        if i in consumed:
+        if consumed and i in consumed:
             continue
         event = events[i]
-        if guard is not None and guard.matches(event):
+        if guard is not None and _accepts(guard, event):
             return None
-        if matches(event):
+        if (types is None or event.event_type in types) and (
+            predicate is None or predicate(event)
+        ):
             return [i]
     return None
 
 
 def _scan_any(
+    step: AnyStep,
+    table: Table,
+    shared: bool,
     events: Sequence[Event],
     start: int,
-    guard: Optional[EventSpec],
-    step: AnyStep,
-    following: Optional[Step],
+    guard: Optional[Table],
     consumed: Set[int],
-    shared: bool = False,
 ) -> Optional[List[int]]:
-    specs = step.specs
-    owner: List[Optional[int]] = [None] * len(specs)
+    by_type, default = table
+    distinct, n = step.distinct_specs, step.n
+    owner: List[Optional[int]] = [None] * len(step.specs)
     taken: List[int] = []
     for i in range(start, len(events)):
-        if i in consumed:
+        if consumed and i in consumed:
             continue
         event = events[i]
-        if guard is not None and not taken and guard.matches(event):
+        if guard is not None and not taken and _accepts(guard, event):
             return None
-        if step.distinct_specs:
-            for k, s in enumerate(specs):
-                if owner[k] is None and s.matches(event):
+        entries = by_type.get(event.event_type, default)
+        if distinct:
+            for k, predicate in entries:
+                if owner[k] is None and (predicate is None or predicate(event)):
                     owner[k] = i
                     break
             else:
                 # taken specs only: a join needs earlier events to trade
-                if not shared or not _assign(i, events, specs, owner):
+                if not shared or not _assign(i, events, table, owner):
                     continue
-        elif not step.accepts(event):
+        elif not any(p is None or p(event) for _k, p in entries):
             continue
         taken.append(i)
-        if len(taken) == step.n:
+        if len(taken) == n:
             return taken
     return None
 
@@ -355,53 +394,53 @@ def _scan_any(
 def _assign(
     i: int,
     events: Sequence[Event],
-    specs: Sequence[EventSpec],
+    table: Table,
     owner: List[Optional[int]],
     tried: Optional[Set[int]] = None,
 ) -> bool:
     """Give event ``i`` a spec of its own: a free one it matches, else
     one whose owner can move to another spec (an augmenting path)."""
     event = events[i]
-    for k, s in enumerate(specs):
-        if owner[k] is None and s.matches(event):
+    entries = table[0].get(event.event_type, table[1])
+    for k, predicate in entries:
+        if owner[k] is None and (predicate is None or predicate(event)):
             owner[k] = i
             return True
     tried = set() if tried is None else tried
-    for k, s in enumerate(specs):
-        if k in tried or not s.matches(event):
+    for k, predicate in entries:
+        if k in tried or not (predicate is None or predicate(event)):
             continue
         tried.add(k)
         holder = owner[k]
-        if holder is not None and _assign(holder, events, specs, owner, tried):
+        if holder is not None and _assign(holder, events, table, owner, tried):
             owner[k] = i
             return True
     return False
 
 
 def _scan_kleene(
+    step: KleeneStep,
+    following: Optional[Table],
     events: Sequence[Event],
     start: int,
-    guard: Optional[EventSpec],
-    step: KleeneStep,
-    following: Optional[Step],
+    guard: Optional[Table],
     consumed: Set[int],
 ) -> Optional[List[int]]:
-    matches = step.spec.matches
+    types, predicate = step.spec.types, step.spec.predicate
+    low, high = step.min_count, step.max_count
     taken: List[int] = []
     for i in range(start, len(events)):
-        if i in consumed:
+        if consumed and i in consumed:
             continue
         event = events[i]
-        if guard is not None and not taken and guard.matches(event):
+        if guard is not None and not taken and _accepts(guard, event):
             return None
-        if matches(event):
-            taken.append(i)
-            if len(taken) == step.max_count:
-                break
-        elif (
-            following is not None
-            and len(taken) >= step.min_count
-            and following.accepts(event)
+        if (types is None or event.event_type in types) and (
+            predicate is None or predicate(event)
         ):
+            taken.append(i)
+            if len(taken) == high:
+                break
+        elif following is not None and len(taken) >= low and _accepts(following, event):
             break  # the following step takes it from here
-    return taken if len(taken) >= step.min_count else None
+    return taken if len(taken) >= low else None

@@ -6,8 +6,10 @@ negation guards, conjunctions; specs that accept one or two types, so
 steps overlap -- and windows of at most 12 events, optionally with the
 non-contiguous positions a shed window has.  Every selection x
 consumption x ``max_matches`` in 1..3 must give exactly the spec's
-matches.  The named tests below pin the cases where the spec found the
-matcher wrong.
+matches.  A second draw adds what the matcher's type dispatch rewrites:
+an event type no spec names, wildcard specs, attribute predicates and
+guards typed apart from the step they guard.  The named tests below pin
+the cases where the spec found the matcher wrong.
 """
 
 import pytest
@@ -17,8 +19,10 @@ from hypothesis import strategies as st
 import matcher_spec
 from repro.cep.events import Event
 from repro.cep.patterns import (
+    AnyStep,
     Conjunction,
     ConsumptionPolicy,
+    EventSpec,
     NegationStep,
     PatternMatcher,
     SelectionPolicy,
@@ -103,6 +107,96 @@ class TestMatcherAgainstSpec:
             pattern, events, positions, selection, consumption, max_matches
         )
         assert seqs(matcher.match_window(events, positions)) == seqs(expected)
+
+
+# ----------------------------------------------------------------------
+# the dispatch draw: no spec names "E", None is the wildcard, and a spec
+# may also test the event's attribute v == 1
+# ----------------------------------------------------------------------
+def v_is_1(event):
+    return event.attr("v") == 1
+
+
+wide_type_sets = st.sampled_from(
+    [None, frozenset("A"), frozenset("B"), frozenset("C"), frozenset("AB")]
+)
+wide_specs = st.builds(
+    lambda types, tested: spec(types, v_is_1 if tested else None),
+    wide_type_sets,
+    st.booleans(),
+)
+
+
+def spec_types(step):
+    if isinstance(step, EventSpec):
+        return {step.types}
+    if isinstance(step, AnyStep):
+        return {s.types for s in step.specs}
+    return {step.spec.types}
+
+
+@st.composite
+def wide_positive_steps(draw):
+    kind = draw(st.sampled_from(["single", "any", "kleene"]))
+    if kind == "single":
+        return draw(wide_specs)
+    if kind == "any":
+        distinct = draw(st.booleans())
+        options = draw(st.lists(wide_specs, min_size=1, max_size=3))
+        n = draw(st.integers(1, len(options) if distinct else 3))
+        return any_of(n, options, distinct_specs=distinct)
+    low = draw(st.integers(1, 2))
+    high = draw(st.one_of(st.none(), st.integers(low, low + 1)))
+    types = draw(wide_type_sets)
+    tested = v_is_1 if draw(st.booleans()) else None
+    return kleene(types, min_count=low, max_count=high, predicate=tested)
+
+
+@st.composite
+def wide_patterns(draw):
+    if draw(st.integers(0, 5)) == 0:
+        specs = draw(st.lists(wide_specs, min_size=1, max_size=3))
+        return Conjunction("c", tuple(specs))
+    steps = [draw(wide_positive_steps())]
+    for _ in range(draw(st.integers(0, 2))):
+        step = draw(wide_positive_steps())
+        if draw(st.booleans()):
+            # a guard typed apart from the step it guards
+            types = [None, *map(frozenset, "ABCD")]
+            foreign = [t for t in types if t not in spec_types(step)]
+            tested = v_is_1 if draw(st.booleans()) else None
+            steps.append(NegationStep(spec(draw(st.sampled_from(foreign)), tested)))
+        steps.append(step)
+    return seq("p", *steps)
+
+
+@st.composite
+def wide_windows(draw):
+    drawn = draw(
+        st.lists(st.tuples(st.sampled_from("ABCDE"), st.integers(0, 1)), max_size=12)
+    )
+    return [Event(name, i, float(i), {"v": v}) for i, (name, v) in enumerate(drawn)]
+
+
+class TestDispatchAgainstSpec:
+    @given(
+        wide_patterns(),
+        wide_windows(),
+        st.sampled_from(list(SelectionPolicy)),
+        st.sampled_from(list(ConsumptionPolicy)),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_wildcards_predicates_unnamed_types_and_foreign_guards_equal_spec(
+        self, pattern, window, selection, consumption, max_matches
+    ):
+        if not matcher_spec.supported(pattern, selection, max_matches):
+            return
+        matcher = PatternMatcher(pattern, selection, consumption, max_matches)
+        expected = matcher_spec.matches(
+            pattern, window, None, selection, consumption, max_matches
+        )
+        assert seqs(matcher.match_window(window)) == seqs(expected)
 
 
 def events(*type_names):

@@ -57,11 +57,6 @@ class TestSteps:
         assert step.accepts(ev("B"))
         assert not step.accepts(ev("Z"))
 
-    def test_any_step_first_matching_spec(self):
-        step = any_of(1, [spec("A"), spec("B")])
-        assert step.first_matching_spec(ev("B")) == 1
-        assert step.first_matching_spec(ev("Z")) is None
-
     def test_any_step_validates_n(self):
         with pytest.raises(ValueError):
             AnyStep(0, (spec("A"),))
