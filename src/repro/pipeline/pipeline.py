@@ -750,8 +750,12 @@ class Pipeline:
         runs, as they are at batch size one), and after an event at
         which the oldest buffered one has lingered out.  Without
         observable tick duty ticks are no-ops, so ``_next_tick`` is
-        stepped once for the run and no stage is called; whether duty
-        is observable is asked only when a tick is due.
+        left unanchored (``None``, as after :meth:`run`) and no stage is
+        called: the tick clock anchors at the first event fed once duty
+        is observable, wherever the stream was cut, at a cost that does
+        not grow with the time span fed.  Whether duty is observable is
+        asked per run while the clock is unanchored, else only when a
+        tick is due.
 
         A stage's ``on_tick`` that raises loses the batch that was
         pending when it raised -- the events the tick was due before,
@@ -770,10 +774,7 @@ class Pipeline:
         if self._next_tick is None or self._next_tick <= latest:
             ticks = self._ticks_observable()
             if not ticks:
-                if self._next_tick is None:
-                    self._next_tick = nows[0] + self.config.check_interval
-                while self._next_tick <= latest:
-                    self._next_tick += self.config.check_interval
+                self._next_tick = None  # re-anchor: no tick was observable
         linger = batcher.linger
         if ticks or linger > 0.0:
             nows = batcher.pending.nows

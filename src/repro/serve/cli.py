@@ -69,10 +69,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--latency-bound", type=float, default=1.0, help="latency bound LB seconds"
     )
     parser.add_argument(
-        "--batch-size", type=int, default=64, help="pipeline micro-batch size"
+        "--batch-size",
+        type=int,
+        default=64,
+        help="pipeline micro-batch size (the server also flushes a partial "
+        "micro-batch whenever its ingest queue is empty)",
     )
     parser.add_argument(
-        "--linger", type=float, default=0.0, help="micro-batch linger seconds"
+        "--linger",
+        type=float,
+        default=0.0,
+        help="micro-batch linger in event-time seconds (0 = none)",
     )
     parser.add_argument(
         "--max-pending",

@@ -11,7 +11,9 @@ Architecture (one process, one event loop)::
                        bounded ingest queue  ── overflow → "overloaded"
                                    ▼
                        single consumer task ──▶ one Pipeline.feed_many()
-                                   │               per admitted frame
+                                   │               per admitted frame;
+                                   │               flush_pending() when
+                                   │               the queue runs dry
                                    ▼
                        EmitStage sinks (detections)
 
@@ -37,10 +39,17 @@ Design decisions, each mirroring a paper/ROADMAP concern:
   hook.  Requests may carry a deadline (``deadline_ms`` /
   ``X-Deadline-Ms``); :class:`~repro.serve.admission.DeadlineAdmission`
   refuses ones the measured queue wait would already blow.
+- **No held frames.**  A micro-batch ships when it fills, when it
+  lingers out (event time), or when nothing else admitted is waiting:
+  the consumer flushes the partial batch whenever the queue is empty
+  after a frame, so a detection leaves with the frame that completed
+  it, never with a later one.  Detections are identical at any batch
+  cut; a stage failing on the flushed batch counts as a feed error.
 - **Graceful drain.**  ``stop()`` stops accepting, lets the consumer
-  drain the queue, then runs :meth:`repro.pipeline.Pipeline.finish`
-  (flush of the live micro-batcher plus still-open windows), so the
-  final detections are emitted before the loop winds down.
+  drain the queue (its last frame flushes the micro-batcher), then
+  runs :meth:`repro.pipeline.Pipeline.finish` -- normally only the
+  still-open windows are left to flush -- so the final detections are
+  emitted before the loop winds down.
 """
 
 from __future__ import annotations
@@ -233,9 +242,11 @@ class PipelineServer:
         """Graceful drain: stop accepting, flush everything, shut down.
 
         Returns the final end-of-stream detections (per query), i.e.
-        what :meth:`Pipeline.finish` emitted for the live micro-batch
-        and still-open windows.  Idempotent; a second call returns an
-        empty mapping.
+        what :meth:`Pipeline.finish` emitted: the still-open windows'
+        tail (the consumer already flushed the micro-batch when the
+        queue ran dry, so ``finish()`` normally finds it empty; a
+        drain that timed out leaves the rest to it).  Idempotent; a
+        second call returns an empty mapping.
         """
         if self._state in ("stopped", "new"):
             self._state = "stopped"
@@ -259,7 +270,8 @@ class PipelineServer:
             except asyncio.CancelledError:
                 pass
             self._consumer = None
-        # end-of-stream flush: pending micro-batch + still-open windows
+        # end-of-stream flush: still-open windows (+ a batch the drain
+        # left behind)
         final = self.pipeline.finish()
         for writer in list(self._writers):
             writer.close()
@@ -292,6 +304,7 @@ class PipelineServer:
     async def _consume(self) -> None:
         queue = self._queue
         feed_many = self.pipeline.feed_many
+        flush_pending = self.pipeline.flush_pending
         while True:
             events = await queue.get()
             started = time.perf_counter()
@@ -305,17 +318,17 @@ class PipelineServer:
                     try:
                         feed_many(remaining)
                         break
-                    except asyncio.CancelledError:
-                        raise
                     except Exception as exc:
-                        # a downstream failure must not kill the feeder:
-                        # count it, tell the ladder, keep draining --
-                        # the degraded state is visible on /healthz
-                        self.feed_errors += 1
-                        self._last_feed_error = (
-                            f"{type(exc).__name__}: {exc}"
-                        )
-                        self.health.record_failure()
+                        self._feed_failed(exc)
+                if queue.empty():
+                    # nothing else admitted is waiting: ship the partial
+                    # micro-batch now, so a detection leaves with the
+                    # frame that completed it (detections are identical
+                    # at any batch cut)
+                    try:
+                        flush_pending()
+                    except Exception as exc:
+                        self._feed_failed(exc)
             finally:
                 self._pending -= len(events)
                 self.events_fed += len(events)
@@ -331,6 +344,15 @@ class PipelineServer:
             self._health_check()
             # yield so connection handlers interleave between batches
             await asyncio.sleep(0)
+
+    def _feed_failed(self, exc: Exception) -> None:
+        """A downstream failure must not kill the feeder: count it, tell
+        the ladder, keep draining -- the degraded state is visible on
+        /healthz.  (``asyncio.CancelledError`` is no ``Exception``: a
+        cancelled feeder still stops.)"""
+        self.feed_errors += 1
+        self._last_feed_error = f"{type(exc).__name__}: {exc}"
+        self.health.record_failure()
 
     def _count_detection(self, query_name: str):
         def sink(_complex_event: ComplexEvent) -> None:

@@ -222,3 +222,48 @@ class TestLazyConsumption:
             "arrivals"
         ] + len(pipeline._feed_batcher)
         assert admitted_or_pending == taken
+
+
+class CountingInterval(float):
+    """A check interval that counts how often the tick clock adds it.
+
+    Fails fast instead of stepping through a long span one interval at
+    a time (10**9 additions over 1 000 s at 1e-6 s).
+    """
+
+    limit = 1000
+
+    def __new__(cls, value):
+        interval = super().__new__(cls, value)
+        interval.additions = 0
+        return interval
+
+    def __radd__(self, other):
+        self.additions += 1
+        if self.additions > self.limit:
+            raise AssertionError("the tick clock steps through the fed span")
+        return float(other) + float(self)
+
+
+class TestTickClockWithoutDuty:
+    @pytest.mark.parametrize("batch_size", [1, 16])
+    def test_feed_cost_does_not_grow_with_the_span(self, batch_size):
+        # no detector, no tick stage: ticks are no-ops, and stepping the
+        # tick clock across 1 000 s at a 1e-6 s interval is 10**9 steps
+        builder = StreamBuilder(rate=0.01)  # one event every 100 s
+        for symbol in ["A", "B", "C"] * 4:
+            builder.emit(symbol)
+        stream = list(builder.stream)
+        assert stream[-1].timestamp - stream[0].timestamp >= 1000.0
+        sliced, per_event = build(batch_size), build(batch_size)
+        for pipeline in (sliced, per_event):
+            pipeline.config.check_interval = CountingInterval(1e-6)
+        out = sliced.feed_many(stream)["cq"] + sliced.finish()["cq"]
+        expected = []
+        for event in stream:
+            expected.extend(per_event.feed(event)["cq"])
+        expected.extend(per_event.finish()["cq"])
+        assert keys_and_times(out) == keys_and_times(expected)
+        assert out  # the span is long, the stream still detects
+        for pipeline in (sliced, per_event):
+            assert pipeline.config.check_interval.additions <= len(stream)

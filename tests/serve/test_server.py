@@ -510,24 +510,34 @@ class TestLifecycle:
             server.port
 
     def test_graceful_stop_flushes_micro_batch_and_windows(self, live):
-        """Events still buffered at stop() must reach detections."""
-        reference = build_pipeline(batch_size=1).run(live)
-        pipeline = build_pipeline(batch_size=4096)  # batcher holds everything
+        """A micro-batch larger than the stream does not hold detections:
+        the feeder flushes it when the queue runs dry, and stop() returns
+        the still-open windows' tail."""
+        stream = live[:2500]  # cut while windows holding matches are open
+        reference = keys(build_pipeline(batch_size=1).run(stream).complex_events)
+        per_event = build_pipeline(batch_size=1)
+        per_event.feed_many(stream)
+        open_tail = keys(c for found in per_event.finish().values() for c in found)
+        pipeline = build_pipeline(batch_size=4096)  # never fills on this stream
         collected = []
         for chain in pipeline.chains:
             chain.emit.subscribe(collected.append)
 
         async def scenario(server):
             async with await ServeClient.connect("127.0.0.1", server.port) as client:
-                await client.ingest_stream(live, batch_events=256)
-            assert not collected  # everything still sits in the micro-batch
+                await client.ingest_stream(stream, batch_events=256)
+            await server._queue.join()
+            before_stop = list(collected)
             final = await server.stop()
-            return final
+            return before_stop, final
 
-        final = run_server(scenario, pipeline=pipeline)
-        assert keys(collected) == keys(reference.complex_events)
-        # the final flush carries the tail detections (open windows)
-        assert sum(len(v) for v in final.values()) > 0
+        before_stop, final = run_server(scenario, pipeline=pipeline)
+        tail = keys(c for found in final.values() for c in found)
+        assert tail == open_tail  # the final flush carries only open windows
+        assert tail
+        assert keys(before_stop) == reference[: len(reference) - len(tail)]
+        assert keys(before_stop) + tail == reference
+        assert keys(collected) == reference
 
     def test_stop_is_idempotent(self):
         async def impl():
