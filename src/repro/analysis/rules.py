@@ -41,6 +41,7 @@ VIRTUAL_TIME_PATHS: Tuple[str, ...] = (
     "src/repro/pipeline/",
     "src/repro/shedding/",
     "src/repro/core/",
+    "src/repro/runtime/",
 )
 
 #: Files inside the virtual-time set that may read the wall clock
@@ -142,13 +143,13 @@ class ClockDisciplineRule(Rule):
     explanation = (
         "Detections are property-tested to be bit-identical across the "
         "per-event, batched, sharded and wire paths; that only holds "
-        "because cep/, pipeline/, shedding/ and core/ advance on the "
-        "virtual clock (event timestamps / simulation time). A "
+        "because cep/, pipeline/, shedding/, core/ and runtime/ advance "
+        "on the virtual clock (event timestamps / simulation time). A "
         "time.time(), time.perf_counter() or datetime.now() reference "
         "in these modules couples results to host timing and breaks "
         "deterministic replay. Take `now` as a parameter instead (see "
-        "repro.cep.clock); wall-clock measurement belongs to obs/, "
-        "serve/ and the benchmarks."
+        "repro.cep.clock.TickSchedule); wall-clock measurement belongs "
+        "to obs/, serve/ and the benchmarks."
     )
 
     WALL_CLOCK = frozenset(

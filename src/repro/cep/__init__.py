@@ -6,8 +6,9 @@ Middleware '19):
 
 - :mod:`repro.cep.events` -- typed primitive events, complex events and
   ordered event streams.
-- :mod:`repro.cep.clock` -- a virtual clock used by the discrete-event
-  simulation runtime.
+- :mod:`repro.cep.clock` -- the :class:`~repro.cep.clock.TickSchedule`
+  every driver steps its periodic duty (overload checks) with, on its
+  own clock: event time, virtual time or the wall clock.
 - :mod:`repro.cep.windows` -- count-, time- and pattern-based sliding
   window assigners that partition a stream into (possibly overlapping)
   windows.
@@ -25,7 +26,6 @@ forked shard workers, each running the one shed-then-match body.
 """
 
 from repro.cep.events import ComplexEvent, Event, EventStream, EventType
-from repro.cep.clock import VirtualClock
 from repro.cep.language import QueryParseError, parse_query
 
 __all__ = [
@@ -34,6 +34,5 @@ __all__ = [
     "EventStream",
     "EventType",
     "QueryParseError",
-    "VirtualClock",
     "parse_query",
 ]

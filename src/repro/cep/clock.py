@@ -1,129 +1,52 @@
-"""Virtual time for the discrete-event simulation runtime.
+"""The tick schedule: when periodic duty (the §3.4 overload check) runs.
 
-The paper evaluates eSPICE on a wall-clock Java prototype.  The
-reproduction runs the whole pipeline in *virtual time* instead: the
-operator has a configured throughput ``th`` (events/second of virtual
-time) and the source a configured input rate ``R``.  All latency
-quantities of paper §3.4 (queueing latency ``l(q)``, processing latency
-``l(p)``, estimated latency ``l(e)``) are therefore deterministic
-functions of the simulation state, which makes the latency-bound
-experiments (Fig. 7) exactly reproducible.
+Every driver steps a :class:`TickSchedule` and feeds it ``now`` on its
+own clock: ``Pipeline.feed``/``run`` on event time, the virtual-time
+driver (:func:`repro.runtime.simulation.simulate_pipeline`) on virtual
+time, the cluster coordinator's overload check on the wall clock.  The
+schedule reads no clock itself.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Iterator, Optional
 
 
-class VirtualClock:
-    """A monotonically advancing virtual clock measured in seconds."""
+class TickSchedule:
+    """Ticks every ``interval`` seconds after an anchor.
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    def advance(self, delta: float) -> float:
-        """Advance the clock by ``delta`` seconds and return the new time."""
-        if delta < 0.0:
-            raise ValueError(f"cannot advance clock by negative delta {delta}")
-        self._now += delta
-        return self._now
-
-    def advance_to(self, timestamp: float) -> float:
-        """Advance the clock to ``timestamp`` (no-op if in the past)."""
-        if timestamp > self._now:
-            self._now = timestamp
-        return self._now
-
-    def __repr__(self) -> str:
-        return f"VirtualClock(t={self._now:.6f})"
-
-
-class EventScheduler:
-    """A tiny discrete-event scheduler on top of :class:`VirtualClock`.
-
-    Used by the simulation runtime to interleave the periodic overload
-    detector with event arrivals and operator processing.  Callbacks run
-    in timestamp order; ties run in scheduling order.
+    ``next`` is the next due tick, ``None`` while unanchored (nothing
+    is due).  Ticks are stepped by repeated addition, one ``interval``
+    after the previous tick, so a schedule that is advanced in one call
+    and one that is advanced in many pieces give bit-identical ticks.
     """
 
-    def __init__(self, clock: Optional[VirtualClock] = None) -> None:
-        self.clock = clock if clock is not None else VirtualClock()
-        self._heap: List[Tuple[float, int, Callable[[], Any]]] = []
-        self._counter = itertools.count()
+    __slots__ = ("interval", "next")
 
-    def schedule_at(self, timestamp: float, callback: Callable[[], Any]) -> None:
-        """Run ``callback`` when virtual time reaches ``timestamp``."""
-        if timestamp < self.clock.now:
-            raise ValueError(
-                f"cannot schedule at {timestamp} before now {self.clock.now}"
-            )
-        heapq.heappush(self._heap, (timestamp, next(self._counter), callback))
+    def __init__(self, interval: float) -> None:
+        if not interval > 0.0:
+            raise ValueError(f"tick interval must be positive, got {interval}")
+        self.interval = interval
+        self.next: Optional[float] = None
 
-    def schedule_after(self, delay: float, callback: Callable[[], Any]) -> None:
-        """Run ``callback`` after ``delay`` seconds of virtual time."""
-        self.schedule_at(self.clock.now + delay, callback)
+    def start(self, at: float) -> None:
+        """Anchor at ``at``: the first tick falls due at ``at + interval``."""
+        self.next = at + self.interval
 
-    def schedule_every(
-        self,
-        interval: float,
-        callback: Callable[[], Any],
-        until: Optional[float] = None,
-    ) -> None:
-        """Run ``callback`` every ``interval`` seconds (optionally bounded).
+    def stop(self) -> None:
+        """Unanchor: nothing is due until the next :meth:`start`."""
+        self.next = None
 
-        The callback may return ``False`` to cancel the recurrence.
+    def due(self, now: float) -> bool:
+        """Whether a tick is due at ``now``."""
+        return self.next is not None and self.next <= now
+
+    def advance(self, now: float) -> Iterator[float]:
+        """Yield every tick due at ``now``, oldest first.
+
+        The schedule steps past a tick only once its consumer returns:
+        a consumer that raises leaves that tick due.
         """
-        if interval <= 0.0:
-            raise ValueError("interval must be positive")
-
-        def tick() -> None:
-            if until is not None and self.clock.now > until:
-                return
-            if callback() is False:
-                return
-            self.schedule_after(interval, tick)
-
-        self.schedule_after(interval, tick)
-
-    @property
-    def pending(self) -> int:
-        """Number of scheduled callbacks not yet run."""
-        return len(self._heap)
-
-    def next_timestamp(self) -> Optional[float]:
-        """Timestamp of the next scheduled callback, or ``None``."""
-        return self._heap[0][0] if self._heap else None
-
-    def run_until(self, timestamp: float) -> int:
-        """Run all callbacks scheduled at or before ``timestamp``.
-
-        Returns the number of callbacks executed.  The clock ends at
-        ``timestamp`` even if no callback was scheduled that late.
-        """
-        executed = 0
-        while self._heap and self._heap[0][0] <= timestamp:
-            when, _tie, callback = heapq.heappop(self._heap)
-            self.clock.advance_to(when)
-            callback()
-            executed += 1
-        self.clock.advance_to(timestamp)
-        return executed
-
-    def run_all(self, limit: int = 1_000_000) -> int:
-        """Run every scheduled callback (bounded by ``limit``)."""
-        executed = 0
-        while self._heap:
-            if executed >= limit:
-                raise RuntimeError(f"scheduler exceeded {limit} callbacks")
-            when, _tie, callback = heapq.heappop(self._heap)
-            self.clock.advance_to(when)
-            callback()
-            executed += 1
-        return executed
+        while self.next is not None and self.next <= now:
+            yield self.next
+            self.next += self.interval

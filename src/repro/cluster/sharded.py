@@ -52,6 +52,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.cep.clock import TickSchedule
 from repro.cep.events import ComplexEvent, Event
 from repro.cluster.coordinator import ClusterCoordinator, ClusterSnapshot
 from repro.cluster.elastic import Autoscaler
@@ -210,7 +211,9 @@ class ShardedPipeline(Pipeline):
         #: exist only as broadcasts, so a fresh fork would miss them)
         self._last_command: Dict[str, Tuple[Optional[DropCommand], bool]] = {}
         self._sync_token = 0
-        self._last_check = 0.0
+        #: wall-clock overload checks: anchored by start(), re-anchored
+        #: at every check, so at most one check runs per interval
+        self._checks = TickSchedule(self.config.check_interval)
         self._failure_detector = FailureDetector(timeout=heartbeat_timeout)
         self._windows_since_checkpoint = 0
         self.coordinator: Optional[ClusterCoordinator] = None
@@ -295,7 +298,7 @@ class ShardedPipeline(Pipeline):
             os.makedirs(self.checkpoint_dir, exist_ok=True)
         for shard_id in range(self.shards):
             self._spawn_shard(shard_id)
-        self._last_check = time.monotonic()
+        self._checks.start(time.monotonic())
         self.started = True
         return self
 
@@ -931,10 +934,9 @@ class ShardedPipeline(Pipeline):
         wall-clock semantics -- backpressure there is physical.
         """
         now = time.monotonic()
-        interval = self.config.check_interval
-        if now - self._last_check < interval:
+        if not self._checks.due(now):
             return
-        self._last_check = now
+        self._checks.start(now)
         if self.autoscaler is not None:
             target = self.autoscaler.decide(self.snapshot())
             if target is not None:

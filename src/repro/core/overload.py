@@ -52,8 +52,6 @@ class OverloadDetector:
     reference_size:
         Model reference window size ``N``; partitions are planned over
         it.
-    check_interval:
-        Seconds of (virtual) time between checks.
     shedder:
         The shedder to activate/deactivate and command.
     ema_alpha:
@@ -72,7 +70,6 @@ class OverloadDetector:
         f: float,
         reference_size: int,
         shedder: Optional[LoadShedder] = None,
-        check_interval: float = 0.1,
         ema_alpha: float = 0.2,
         fixed_processing_latency: Optional[float] = None,
         fixed_input_rate: Optional[float] = None,
@@ -84,13 +81,10 @@ class OverloadDetector:
             raise ValueError("f must lie in [0, 1)")
         if reference_size <= 0:
             raise ValueError("reference size must be positive")
-        if check_interval <= 0.0:
-            raise ValueError("check interval must be positive")
         self.latency_bound = latency_bound
         self.f = f
         self.reference_size = reference_size
         self.shedder = shedder
-        self.check_interval = check_interval
         self.ema_alpha = ema_alpha
         self._fixed_lp = fixed_processing_latency
         self._fixed_rate = fixed_input_rate
@@ -152,8 +146,11 @@ class OverloadDetector:
     def check(self, now: float, qsize: int) -> Optional[DropCommand]:
         """One periodic check; drives the shedder, returns any command.
 
-        The runtime calls this every ``check_interval`` seconds with the
-        current queue size.
+        The driver calls this once per tick of its
+        :class:`~repro.cep.clock.TickSchedule` (every ``check_interval``
+        seconds of its own clock: event, virtual or wall time) with the
+        current queue size; the measured input rate counts the arrivals
+        between consecutive checks on that clock.
         """
         self._update_rate(now)
         lp = self._lp_estimate

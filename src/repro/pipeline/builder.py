@@ -136,7 +136,11 @@ class PipelineBuilder:
         return self
 
     def check_interval(self, seconds: float) -> "PipelineBuilder":
-        """Overload-detector period in seconds."""
+        """Tick period in seconds: how often every stage that observes
+        ticks (the overload detector, custom ``on_tick`` stages) runs its
+        periodic duty -- on event time in ``feed``/``run``, on virtual
+        time in ``simulate`` and on the wall clock for a cluster's
+        coordinator overload check."""
         self._config.check_interval = seconds
         return self
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.cep.clock import TickSchedule
 from repro.cep.events import ComplexEvent, Event, EventStream
 from repro.cep.operator.operator import CEPOperator, segments
 from repro.cep.operator.queue import InputQueue
@@ -349,7 +350,6 @@ class QueryChain:
                 f=chosen_f,
                 reference_size=reference,
                 shedder=self.shedder,
-                check_interval=self.config.check_interval,
                 fixed_processing_latency=processing_latency,
                 fixed_input_rate=expected_input_rate,
                 partition_override=partition_override,
@@ -485,6 +485,20 @@ class QueryChain:
             for start, end, part_closes in segments(closes, count)
         ]
 
+    @property
+    def observes_ticks(self) -> bool:
+        """Whether any stage would act on a periodic tick.
+
+        The core stages' ``on_tick`` is a no-op unless the shedding
+        stage carries an overload detector; a custom stage overriding
+        ``on_tick`` (rate limiters, ...) is assumed to act.  Drivers
+        schedule ticks for a chain only while this holds.
+        """
+        for stage in self.tick_stages:
+            if not isinstance(stage, SheddingStage) or stage.detector is not None:
+                return True
+        return False
+
     def on_tick(self, now: float) -> None:
         """Periodic duty for every stage (detector checks, refills)."""
         for stage in self.stages:
@@ -535,7 +549,9 @@ class Pipeline:
         self.config = config
         self._events_fed = 0
         self._last_fed = 0.0
-        self._next_tick: Optional[float] = None
+        #: the event-time tick schedule every chain shares (batch cuts
+        #: are shared); unanchored while no stage observes ticks
+        self._ticks = TickSchedule(config.check_interval)
         # observability bundle (repro.obs.Observability) when enabled
         self.observability = None
         self._obs_collector = None
@@ -749,12 +765,12 @@ class Pipeline:
         boundary: buffered events are processed before detector duty
         runs, as they are at batch size one), and after an event at
         which the oldest buffered one has lingered out.  Without
-        observable tick duty ticks are no-ops, so ``_next_tick`` is
-        left unanchored (``None``, as after :meth:`run`) and no stage is
-        called: the tick clock anchors at the first event fed once duty
-        is observable, wherever the stream was cut, at a cost that does
-        not grow with the time span fed.  Whether duty is observable is
-        asked per run while the clock is unanchored, else only when a
+        observable tick duty ticks are no-ops, so the tick schedule
+        (``_ticks``) is left unanchored (as after :meth:`run`) and no
+        stage is called: it anchors at the first event fed once duty is
+        observable, wherever the stream was cut, at a cost that does not
+        grow with the time span fed.  Whether duty is observable is
+        asked per run while the schedule is unanchored, else only when a
         tick is due.
 
         A stage's ``on_tick`` that raises loses the batch that was
@@ -763,29 +779,35 @@ class Pipeline:
         the pending batch is dropped before the error propagates, so a
         caller resuming the same iterator starts an empty batch (a full
         one left behind would give the next call no room to take
-        events).  The tick itself is retried at the next due event.
+        events).  The tick itself stays due and is retried at the next
+        due event.
         """
         latest = max(nows) if len(nows) > 1 else nows[0]
         if latest > self._last_fed:
             self._last_fed = latest
         i = len(batcher.pending.events)  # the run's first event, once buffered
         batcher.extend(run, nows)
+        schedule = self._ticks
         ticks = False
-        if self._next_tick is None or self._next_tick <= latest:
+        if schedule.next is None or schedule.due(latest):
             ticks = self._ticks_observable()
             if not ticks:
-                self._next_tick = None  # re-anchor: no tick was observable
+                schedule.stop()  # re-anchor: no tick was observable
         linger = batcher.linger
         if ticks or linger > 0.0:
             nows = batcher.pending.nows
             while i < len(nows):
                 at = nows[i]
-                if ticks and (self._next_tick is None or self._next_tick <= at):
-                    if i and self._next_tick is not None:
+                if ticks and schedule.next is None:
+                    schedule.start(at)
+                elif ticks and schedule.due(at):
+                    if i:
                         self._collect_batch(batcher.split(i), out)
                         nows, i = batcher.pending.nows, 0
                     try:
-                        self._advance_ticks(at)
+                        for tick in schedule.advance(at):
+                            for chain in self.chains:
+                                chain.on_tick(tick)
                     except BaseException:
                         batcher.take()
                         raise
@@ -852,15 +874,6 @@ class Pipeline:
             if out is not None and flushed:
                 out[chain.query.name].extend(flushed)
 
-    def _advance_ticks(self, now: float) -> None:
-        if self._next_tick is None:
-            self._next_tick = now + self.config.check_interval
-            return
-        while self._next_tick <= now:
-            for chain in self.chains:
-                chain.on_tick(self._next_tick)
-            self._next_tick += self.config.check_interval
-
     def run(
         self, stream: Iterable[Event], batch_size: Optional[int] = None
     ) -> PipelineResult:
@@ -900,7 +913,7 @@ class Pipeline:
             last = self._feed_batches(stream, None, batcher, None)
             self._collect_batch(batcher.take(), None)
             if not self._ticks_observable():
-                self._next_tick = None  # re-anchor: no tick was observable
+                self._ticks.stop()  # re-anchor: no tick was observable
             self._flush_windows(last, None)
             matches = {
                 chain.query.name: chain.emit.drain_collected()
@@ -917,17 +930,9 @@ class Pipeline:
         )
 
     def _ticks_observable(self) -> bool:
-        """Whether any stage would act on a periodic tick.
-
-        The core stages' ``on_tick`` is a no-op unless the shedding
-        stage carries an overload detector; a custom stage overriding
-        ``on_tick`` (rate limiters, ...) is assumed to act.
-        """
-        for chain in self.chains:
-            for stage in chain.tick_stages:
-                if not isinstance(stage, SheddingStage) or stage.detector is not None:
-                    return True
-        return False
+        """Whether any chain observes ticks (the chains share the
+        tick schedule, since they share the batch cuts)."""
+        return any([chain.observes_ticks for chain in self.chains])
 
     # ------------------------------------------------------------------
     # virtual-time overload simulation (the paper's experimental setup)

@@ -24,8 +24,8 @@ but advances virtual time per batch boundary and per due tick, not per
 event:
 
 - *Ingress* takes every arrival strictly before the next tick as one
-  batch per chain -- at most one check interval ahead when no chain has
-  a detector, exactly one arrival when the queue is bounded (admission
+  batch per chain -- at most one check interval ahead when no chain
+  observes ticks, exactly one arrival when the queue is bounded (admission
   reads the depth between arrivals).  No ingress stage reads egress
   state, so ingesting ahead of processing changes nothing downstream.
 - *Egress* takes a segment from the head of the earliest chain's
@@ -79,6 +79,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Union
 
+from repro.cep.clock import TickSchedule
 from repro.cep.events import ComplexEvent, EventStream
 from repro.cep.operator.operator import OperatorStats
 from repro.cep.patterns.query import Query
@@ -121,7 +122,8 @@ class SimulationConfig:
         ``LB`` used for latency accounting (the detector carries its
         own copy).
     check_interval:
-        Detector period; ignored when no detector is given.
+        Tick period of every chain whose stages observe ticks (overload
+        detector, custom ``on_tick`` stage); other chains are not ticked.
     idle_cost_fraction:
         Cost of an event with zero kept window memberships, as a
         fraction of the full per-event cost (queue management, window
@@ -146,8 +148,8 @@ class SimulationConfig:
             raise ValueError("throughput must be positive")
         if self.latency_bound <= 0.0:
             raise ValueError("latency bound must be positive")
-        # the driver steps detector ticks by this much: zero would tick
-        # forever at one instant
+        # the driver steps ticks by this much: zero would tick forever
+        # at one instant
         if not (math.isfinite(self.check_interval) and self.check_interval > 0.0):
             raise ValueError("check interval must be positive and finite")
         if self.mean_memberships <= 0.0:
@@ -264,10 +266,13 @@ def simulate_pipeline(
     free_at = [0.0] * k
     max_queue = [0] * k
     check_interval = config.check_interval
-    next_check = [
-        check_interval if chain.detector is not None else _INFINITY
-        for chain in chains
-    ]
+    # one virtual-time tick schedule per chain that observes ticks;
+    # ``next_check`` mirrors their next ticks (∞: not scheduled)
+    schedules = [TickSchedule(check_interval) for _ in chains]
+    for chain, schedule in zip(chains, schedules):
+        if chain.observes_ticks:
+            schedule.start(0.0)
+    next_check = [_INFINITY if s.next is None else s.next for s in schedules]
     # the last ingested chunk, kept until its queue samples can be
     # derived: its arrival times, per chain the depth before it and
     # which arrivals were admitted, and the starts priced since
@@ -311,14 +316,16 @@ def simulate_pipeline(
 
         if check_time <= next_arrival and check_time <= next_process:
             check_chain = next_check.index(check_time)
-            chains[check_chain].on_tick(check_time)
-            next_check[check_chain] += check_interval
+            schedule = schedules[check_chain]
+            for tick in schedule.advance(check_time):
+                chains[check_chain].on_tick(tick)
+            next_check[check_chain] = schedule.next
             continue
 
         if next_arrival <= next_process:
             # ingress: every arrival strictly before the next tick, at
-            # most one check interval ahead (no chain may have a
-            # detector), one arrival at a time into a bounded queue
+            # most one check interval ahead (no chain may observe
+            # ticks), one arrival at a time into a bounded queue
             _sample_chunk()
             horizon = min(check_time, next_arrival + check_interval)
             run = EventBatch([stream[arrival_index]], [next_arrival])

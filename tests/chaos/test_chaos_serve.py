@@ -217,7 +217,7 @@ class TestServedClusterBitIdentity:
             elif stalled and (autoscaler.decisions or index == last_batch):
                 stalled.pop().resume_worker(0)
             elif stalled:
-                sharded._last_check = 0.0  # next batch runs the check
+                sharded._checks.start(0.0)  # next batch runs the check
 
         detected, snapshot, _reports = serve_with_chaos(
             workload,

@@ -25,7 +25,6 @@ def detector(**kwargs):
         latency_bound=1.0,
         f=0.8,
         reference_size=300,
-        check_interval=0.1,
         fixed_processing_latency=0.001,  # th = 1000 ev/s, qmax = 1000
         fixed_input_rate=1200.0,  # R1-style 20% overload
     )
@@ -148,7 +147,5 @@ class TestValidation:
             detector(f=1.0)
         with pytest.raises(ValueError):
             detector(reference_size=0)
-        with pytest.raises(ValueError):
-            detector(check_interval=0.0)
         with pytest.raises(ValueError):
             detector(partition_override=0)

@@ -79,7 +79,6 @@ class TestBurstyArrivals:
             f=0.8,
             reference_size=model.reference_size,
             shedder=shedder,
-            check_interval=0.01,
             fixed_processing_latency=0.001,  # qmax = 1000, trigger at 800
             fixed_input_rate=2000.0,
         )
@@ -110,7 +109,6 @@ class TestBurstyArrivals:
             f=0.8,
             reference_size=model.reference_size,
             shedder=shedder,
-            check_interval=0.005,
             fixed_processing_latency=0.001,
             fixed_input_rate=1400.0,
         )
@@ -143,7 +141,6 @@ class TestMeasuredEstimators:
             f=0.8,
             reference_size=model.reference_size,
             shedder=shedder,
-            check_interval=0.005,
         )
         # feed the estimators like the runtime would
         stream = training_stream(repetitions=600)
@@ -172,7 +169,7 @@ class TestMeasuredEstimators:
 
     def test_detector_survives_zero_arrivals_between_checks(self):
         detector = OverloadDetector(
-            latency_bound=1.0, f=0.8, reference_size=10, check_interval=0.1
+            latency_bound=1.0, f=0.8, reference_size=10
         )
         detector.record_processing(0.001)
         detector.check(0.1, 0)

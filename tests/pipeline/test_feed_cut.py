@@ -6,9 +6,14 @@ pending batch has room for -- instead of pushing events through the
 batcher one by one, and cuts a run only where a due tick some stage
 observes, or the linger bound, demands it.  That is a change of
 constants only: per call it must return the same detections in the
-same order, and leave the session clock (``_last_fed``), the tick clock
-(``_next_tick``), the pending batch and every stage counter where
-``for e in slice: feed(e)`` leaves them.
+same order, and leave the session clock (``_last_fed``), the tick
+schedule's next tick (``_ticks.next``), the pending batch and every
+stage counter where ``for e in slice: feed(e)`` leaves them.
+
+A stage that observes ticks sees the same tick times whether the
+stream is fed live or replayed by the virtual-time driver at its own
+rate: both drivers step the same kind of tick schedule from the
+stream's start.
 """
 
 import random
@@ -21,7 +26,13 @@ from repro.cep.events import StreamBuilder
 from repro.cep.patterns import seq, spec
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows
-from repro.pipeline import MicroBatcher, Pipeline, Stage
+from repro.pipeline import (
+    MicroBatcher,
+    Pipeline,
+    PipelineConfig,
+    QueryChain,
+    Stage,
+)
 
 SLICE_LENGTHS = [0, 1, 7, 64, 1000]
 BATCH_SIZES = [1, 2, 16, 64]
@@ -111,7 +122,7 @@ def keys_and_times(complex_events):
 def session_state(pipeline):
     state = {
         "last_fed": pipeline._last_fed,
-        "next_tick": pipeline._next_tick,
+        "next_tick": pipeline._ticks.next,
         "pending": [e.seq for e in pipeline._feed_batcher.pending.events],
         "metrics": pipeline.metrics(),
     }
@@ -171,7 +182,7 @@ class TestCutEqualsPerEventFeeding:
         got.extend(sliced.finish()["cq"])
         truth.extend(unbatched.finish()["cq"])
         assert keys_and_times(got) == keys_and_times(truth)
-        assert sliced._next_tick == unbatched._next_tick
+        assert sliced._ticks.next == unbatched._ticks.next
         assert session_state(sliced).get("ticks") == session_state(unbatched).get(
             "ticks"
         )
@@ -225,7 +236,7 @@ class TestLazyConsumption:
 
 
 class CountingInterval(float):
-    """A check interval that counts how often the tick clock adds it.
+    """A tick interval that counts how often the tick schedule adds it.
 
     Fails fast instead of stepping through a long span one interval at
     a time (10**9 additions over 1 000 s at 1e-6 s).
@@ -241,7 +252,7 @@ class CountingInterval(float):
     def __radd__(self, other):
         self.additions += 1
         if self.additions > self.limit:
-            raise AssertionError("the tick clock steps through the fed span")
+            raise AssertionError("the tick schedule steps through the fed span")
         return float(other) + float(self)
 
 
@@ -249,7 +260,7 @@ class TestTickClockWithoutDuty:
     @pytest.mark.parametrize("batch_size", [1, 16])
     def test_feed_cost_does_not_grow_with_the_span(self, batch_size):
         # no detector, no tick stage: ticks are no-ops, and stepping the
-        # tick clock across 1 000 s at a 1e-6 s interval is 10**9 steps
+        # tick schedule across 1 000 s at a 1e-6 s interval is 10**9 steps
         builder = StreamBuilder(rate=0.01)  # one event every 100 s
         for symbol in ["A", "B", "C"] * 4:
             builder.emit(symbol)
@@ -257,7 +268,8 @@ class TestTickClockWithoutDuty:
         assert stream[-1].timestamp - stream[0].timestamp >= 1000.0
         sliced, per_event = build(batch_size), build(batch_size)
         for pipeline in (sliced, per_event):
-            pipeline.config.check_interval = CountingInterval(1e-6)
+            # where the schedule reads its interval (it holds its own copy)
+            pipeline._ticks.interval = CountingInterval(1e-6)
         out = sliced.feed_many(stream)["cq"] + sliced.finish()["cq"]
         expected = []
         for event in stream:
@@ -266,4 +278,62 @@ class TestTickClockWithoutDuty:
         assert keys_and_times(out) == keys_and_times(expected)
         assert out  # the span is long, the stream still detects
         for pipeline in (sliced, per_event):
-            assert pipeline.config.check_interval.additions <= len(stream)
+            assert pipeline._ticks.interval.additions <= len(stream)
+
+
+def tick_times(pipeline):
+    """Per chain, the times its TickLog stages and its detector ticked at."""
+    times = {}
+    for chain in pipeline.chains:
+        for stage in chain.stages:
+            if isinstance(stage, TickLog):
+                times[chain.query.name, "stage"] = [now for now, _ in stage.log]
+        if chain.detector is not None:
+            times[chain.query.name, "detector"] = [
+                sample.time for sample in chain.detector.samples
+            ]
+    return times
+
+
+class TestTicksAgreeAcrossDrivers:
+    """``feed`` (event time) and ``simulate`` (virtual time, arrivals at
+    the stream's own timestamps, ample capacity) tick the same chains at
+    the same times: a chain is ticked iff some stage observes ticks."""
+
+    def _feed_and_simulate(self, make):
+        stream = synth_stream(200, seed=4)
+        fed = make()
+        for event in stream:
+            fed.feed(event)
+        fed.finish()
+        simulated = make()
+        simulated.simulate(
+            stream,
+            input_rate=50.0,
+            throughput=5000.0,
+            arrival_times=[event.timestamp for event in stream],
+        )
+        return tick_times(fed), tick_times(simulated)
+
+    def test_tick_stage_without_detector(self):
+        fed, simulated = self._feed_and_simulate(lambda: build(1, ticks="stage"))
+        assert len(fed["cq", "stage"]) == 39  # 0.1 s ticks over 3.98 s
+        assert simulated == fed
+
+    def test_two_chains_one_with_a_detector(self):
+        def make():
+            config = PipelineConfig(reference_size=6)
+            with_detector = QueryChain(count_query(), config, strategy="random")
+            query = Query(
+                name="cq2",
+                pattern=seq("cq2", spec("A"), spec("C")),
+                window_factory=lambda: CountSlidingWindows(4, slide=2),
+            )
+            with_tick_stage = QueryChain(query, config, egress_stages=[TickLog()])
+            return Pipeline([with_detector, with_tick_stage], config).deploy()
+
+        fed, simulated = self._feed_and_simulate(make)
+        assert set(fed) == {("cq", "detector"), ("cq2", "stage")}
+        assert len(fed["cq2", "stage"]) == 39
+        assert fed["cq", "detector"] == fed["cq2", "stage"]
+        assert simulated == fed

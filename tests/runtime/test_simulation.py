@@ -94,7 +94,6 @@ class TestWithShedding:
             f=0.8,
             reference_size=10,
             shedder=shedder,
-            check_interval=0.01,
             fixed_processing_latency=1.0 / th,
             fixed_input_rate=rate,
         )
@@ -228,7 +227,6 @@ class TestDeterminism:
             f=0.8,
             reference_size=10,
             shedder=shedder,
-            check_interval=0.01,
             fixed_processing_latency=0.001,
             fixed_input_rate=1300.0,
         )

@@ -145,7 +145,6 @@ def build(scenario: Scenario, sink_log: list, probe_log: list):
                 f=0.5,
                 reference_size=8,
                 shedder=shedder,
-                check_interval=scenario.check_interval,
                 fixed_processing_latency=1.0 / TH,
                 fixed_input_rate=scenario.factor * TH,
             )
